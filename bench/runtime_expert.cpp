@@ -179,6 +179,33 @@ BENCHMARK_CAPTURE(BM_ArchExecution, volunteer,
                   gridsim::env::Architecture::Volunteer)
     ->Unit(benchmark::kMillisecond);
 
+void BM_MakeBotCold(benchmark::State& state) {
+  // BoT generation when the CPU-time calibration is not memoized: each
+  // iteration asks for a WL1-sized BoT with a mean no earlier iteration
+  // (in any repetition) used, so every from_stats call calibrates afresh.
+  const auto& wl = workload::workload_spec(workload::WorkloadId::WL1);
+  static double next_mean = wl.mean_cpu;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(workload::make_synthetic_bot(
+        wl.name, wl.task_count, next_mean, wl.min_cpu, wl.max_cpu, 0xB07ULL));
+    next_mean += 1.0;
+  }
+}
+BENCHMARK(BM_MakeBotCold)->Unit(benchmark::kMillisecond);
+
+void BM_MakeBotWarm(benchmark::State& state) {
+  // BoT generation for a repeated CPU triple (a campaign's every BoT): the
+  // calibration is a memo hit and only the task-time draws remain.
+  benchmark::DoNotOptimize(
+      workload::make_bot(workload::WorkloadId::WL1, 0xB07ULL));
+  std::uint64_t seed = 0xB07ULL;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        workload::make_bot(workload::WorkloadId::WL1, ++seed));
+  }
+}
+BENCHMARK(BM_MakeBotWarm)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -17,10 +17,17 @@ class TruncatedLognormal {
   /// (treated as the observed extremes), sigma spans the [lo, hi] range at
   /// roughly +-2 sigma in log space, and mu is then adjusted by bisection so
   /// the truncated mean matches `mean`.
+  ///
+  /// Memoized and thread-safe: results are kept in a bounded process-wide
+  /// table keyed by the exact (mean, lo, hi), and a repeated triple returns
+  /// without calibrating. Cached or not, the result is bit-identical to a
+  /// cold calibration on any thread, so generated BoTs never depend on call
+  /// history.
   static TruncatedLognormal from_stats(double mean, double lo, double hi);
 
   double sample(util::Rng& rng) const;
-  /// Monte-Carlo estimate of the truncated mean (deterministic seed).
+  /// Monte-Carlo estimate of the truncated mean over the same fixed-seed
+  /// stream from_stats calibrates against.
   double approximate_mean() const;
 
   /// The same distribution with every quantile multiplied by `factor`

@@ -1,26 +1,62 @@
 #include "expert/stats/distributions.hpp"
 
 #include <cmath>
+#include <cstddef>
+#include <deque>
+#include <map>
+#include <optional>
+#include <tuple>
+#include <vector>
 
 #include "expert/util/assert.hpp"
+#include "expert/util/thread_safety.hpp"
 
 namespace expert::stats {
 
 namespace {
 
-double truncated_mean(double mu, double sigma, double lo, double hi) {
-  // Monte-Carlo with a fixed seed, using the same rejection scheme as
-  // sample() so the calibrated mean matches what sampling produces.
+constexpr int kAccepted = 100'000;
+constexpr std::size_t kMaxDraws = 20 * kAccepted;
+// Standard normals drawn once per calibration and shared by its bisection
+// steps: 1 MiB, enough for every step whose acceptance rate exceeds ~76%.
+constexpr std::size_t kPrefixDraws = 131'072;
+// Calibrations remembered per process. A long-lived service sees one new
+// triple per tenant, so the oldest entry is evicted first once full.
+constexpr std::size_t kMemoCapacity = 256;
+
+/// The fixed-seed calibration stream, split into its first kPrefixDraws
+/// standard normals and the generator state that follows them. Every
+/// truncated-mean evaluation replays this one stream, so the prefix is drawn
+/// once and only exp(mu + sigma * z) changes between bisection steps.
+struct DrawPrefix {
+  std::vector<double> z;
+  util::Rng rest;
+};
+
+DrawPrefix draw_prefix() {
   // EXPERT_LINT_ALLOW(RNG001): the fixed seed is the point — this is a
   // calibration constant that must be identical across every run and user
   // seed, not a simulation stream.
-  util::Rng rng(0xec0ffeeULL);
-  constexpr int kAccepted = 100'000;
-  constexpr int kMaxDraws = 20 * kAccepted;
+  DrawPrefix prefix{{}, util::Rng(0xec0ffeeULL)};
+  prefix.z.resize(kPrefixDraws);
+  for (double& z : prefix.z) z = prefix.rest.normal();
+  return prefix;
+}
+
+double truncated_mean(const DrawPrefix& prefix, double mu, double sigma,
+                      double lo, double hi) {
+  // Monte-Carlo over the fixed stream, using the same rejection scheme as
+  // sample() so the calibrated mean matches what sampling produces. Inside
+  // the prefix, exp(mu + sigma * z) is exactly what Rng::lognormal(mu, sigma)
+  // evaluates for the same normal (so it must not be rewritten, e.g. as
+  // exp(mu) * exp(sigma * z)); past it, draws continue from a copy of the
+  // stream's state, so the sum is bit-identical to one pass over the stream.
+  util::Rng rest = prefix.rest;
   double sum = 0.0;
   int accepted = 0;
-  for (int i = 0; i < kMaxDraws && accepted < kAccepted; ++i) {
-    const double x = rng.lognormal(mu, sigma);
+  for (std::size_t i = 0; i < kMaxDraws && accepted < kAccepted; ++i) {
+    const double x = i < kPrefixDraws ? std::exp(mu + sigma * prefix.z[i])
+                                      : rest.lognormal(mu, sigma);
     if (x < lo || x > hi) continue;
     sum += x;
     ++accepted;
@@ -30,6 +66,42 @@ double truncated_mean(double mu, double sigma, double lo, double hi) {
     return std::exp(mu) < lo ? lo : hi;
   }
   return sum / accepted;
+}
+
+/// Process-wide memo of calibrated mu keyed by the exact (mean, lo, hi)
+/// doubles. The lock is never held while calibrating: two threads missing on
+/// the same key both compute the same deterministic value, and the second
+/// insert is a no-op.
+class CalibrationMemo {
+ public:
+  using Key = std::tuple<double, double, double>;
+
+  std::optional<double> find(const Key& key) EXPERT_EXCLUDES(mutex_) {
+    util::MutexLock lock(mutex_);
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  void insert(const Key& key, double mu) EXPERT_EXCLUDES(mutex_) {
+    util::MutexLock lock(mutex_);
+    if (!entries_.emplace(key, mu).second) return;
+    order_.push_back(key);
+    if (order_.size() > kMemoCapacity) {
+      entries_.erase(order_.front());
+      order_.pop_front();
+    }
+  }
+
+ private:
+  util::Mutex mutex_;
+  std::map<Key, double> entries_ EXPERT_GUARDED_BY(mutex_);
+  std::deque<Key> order_ EXPERT_GUARDED_BY(mutex_);  // insertion order
+};
+
+CalibrationMemo& calibration_memo() {
+  static CalibrationMemo memo;
+  return memo;
 }
 
 }  // namespace
@@ -48,18 +120,25 @@ TruncatedLognormal TruncatedLognormal::from_stats(double mean, double lo,
   EXPERT_REQUIRE(mean > 0.0, "mean must be positive");
   // Observed extremes sit at roughly +-2 sigma of the log-space spread.
   const double sigma = std::log(hi / lo) / 4.0;
+  const CalibrationMemo::Key key{mean, lo, hi};
+  if (const auto mu = calibration_memo().find(key))
+    return TruncatedLognormal(*mu, sigma, lo, hi);
+
   // Bisect mu so that the truncated mean matches the target. The truncated
   // mean is monotone increasing in mu.
+  const DrawPrefix prefix = draw_prefix();
   double mu_lo = std::log(lo) - 2.0;
   double mu_hi = std::log(hi) + 2.0;
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (mu_lo + mu_hi);
-    if (truncated_mean(mid, sigma, lo, hi) < mean)
+    if (truncated_mean(prefix, mid, sigma, lo, hi) < mean)
       mu_lo = mid;
     else
       mu_hi = mid;
   }
-  return TruncatedLognormal(0.5 * (mu_lo + mu_hi), sigma, lo, hi);
+  const double mu = 0.5 * (mu_lo + mu_hi);
+  calibration_memo().insert(key, mu);
+  return TruncatedLognormal(mu, sigma, lo, hi);
 }
 
 double TruncatedLognormal::sample(util::Rng& rng) const {
@@ -74,7 +153,7 @@ double TruncatedLognormal::sample(util::Rng& rng) const {
 }
 
 double TruncatedLognormal::approximate_mean() const {
-  return truncated_mean(mu_, sigma_, lo_, hi_);
+  return truncated_mean(draw_prefix(), mu_, sigma_, lo_, hi_);
 }
 
 TruncatedLognormal TruncatedLognormal::scaled(double factor) const {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis.hpp"
 #include "lexer.hpp"
 #include "lint.hpp"
 #include "report.hpp"
@@ -312,6 +313,26 @@ TEST(LintScope, UnorderedContainersAllowedOutsideReplayModules) {
       lint_source("include/expert/obs/metrics.hpp",
                   "#pragma once\n" + source)
           .empty());
+}
+
+TEST(LintScope, StatsIsAnnotationAuditedAndOrderedOnly) {
+  // stats owns the process-wide calibration memo's mutex.
+  const auto scope = expert::lint::classify("src/stats/distributions.cpp");
+  EXPECT_EQ(scope.ann_module, "stats");
+  EXPECT_TRUE(scope.ordered_only);
+  EXPECT_FALSE(
+      lint_source("src/stats/distributions.cpp",
+                  "std::unordered_map<double, double> memo;\n")
+          .empty());
+  const std::string unannotated =
+      "class Memo {\n"
+      "  util::Mutex mutex_;\n"
+      "  int entries_ = 0;\n"
+      "};\n";
+  const auto findings =
+      lint_source("src/stats/distributions.cpp", unannotated);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "ANN001");
 }
 
 // ---- suppression semantics ----

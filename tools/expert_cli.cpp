@@ -913,8 +913,6 @@ int cmd_execute(const util::Args& args) {
 
   // Real side: machine-level execution of the experiment's strategy.
   const auto& wl = workload::workload_spec(exp->workload);
-  const auto bot = workload::make_bot(
-      exp->workload, 0xB07 + seed + static_cast<std::uint64_t>(number));
   auto env = gridsim::make_experiment_environment(
       *exp, 0x7AB1E + seed + static_cast<std::uint64_t>(number));
   if (const auto plan = args.option("chaos"))
@@ -926,6 +924,8 @@ int cmd_execute(const util::Args& args) {
   EXPERT_REQUIRE(args.option_or("backend", "gridsim") == "gridsim",
                  "--backend process needs a campaign (--bots > 1)");
 
+  const auto bot = workload::make_bot(
+      exp->workload, 0xB07 + seed + static_cast<std::uint64_t>(number));
   gridsim::Executor executor(env);
   const auto strategy = gridsim::make_experiment_strategy(*exp);
   const auto real = executor.run(bot, strategy);

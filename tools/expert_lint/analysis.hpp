@@ -22,10 +22,12 @@ struct Scope {
   bool obs = false;           ///< obs module (clock access allowed)
   bool util = false;          ///< util module (atomic_write lives here)
   bool procexec = false;      ///< procexec module (process syscalls allowed)
-  bool ordered_only = false;  ///< sim/core/gridsim/strategies/eval/obs
+  bool ordered_only = false;  ///< sim/core/gridsim/strategies/eval/obs/
+                              ///< service/stats
   bool header = false;        ///< .hpp file
   /// Concurrency-audited modules (ANN001 coverage): eval/obs/util/
-  /// resilience/procexec. Empty outside them.
+  /// resilience/procexec/service/stats, plus gridsim/env. Empty outside
+  /// them.
   std::string ann_module;
 };
 

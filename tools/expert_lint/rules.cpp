@@ -130,18 +130,20 @@ Scope classify(std::string_view path) {
     // series ordering, so its label/series maps must iterate stably. So is
     // service: its manifest, journals, and DRR schedule promise
     // byte-identical replay, which an unordered tenant registry would leak
-    // into.
+    // into. So is stats: its calibration memo must evict in a fixed order.
     if (seg == "sim" || seg == "core" || seg == "gridsim" ||
         seg == "strategies" || seg == "eval" || seg == "obs" ||
-        seg == "service") {
+        seg == "service" || seg == "stats") {
       scope.ordered_only = true;
     }
     // The concurrency-audited set: modules that run (or synchronize)
     // threads and therefore fall under ANN001 annotation coverage. The
     // service is single-threaded by design, so any mutex that ever
-    // appears there must be annotated (and justified) from day one.
+    // appears there must be annotated (and justified) from day one. stats
+    // guards its process-wide calibration memo with a mutex.
     if (seg == "eval" || seg == "obs" || seg == "util" ||
-        seg == "resilience" || seg == "procexec" || seg == "service") {
+        seg == "resilience" || seg == "procexec" || seg == "service" ||
+        seg == "stats") {
       scope.ann_module = std::string(seg);
     }
     // The environment subsystem is audited as its own module: its digest
@@ -295,7 +297,7 @@ FileAnalysis analyze_file(std::string_view path, std::string_view source) {
         report("ITER001", tok.line,
                "std::" + id +
                    " is banned in sim/core/gridsim/strategies/eval/obs/"
-                   "service: iteration order is unspecified and leaks into "
+                   "service/stats: iteration order is unspecified and leaks into "
                    "results and metric snapshots; use the ordered "
                    "counterpart");
       }

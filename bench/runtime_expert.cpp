@@ -5,10 +5,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
+
 #include "common.hpp"
 #include "expert/core/expert.hpp"
 #include "expert/gridsim/env/environment.hpp"
 #include "expert/gridsim/executor.hpp"
+#include "expert/sim/engine.hpp"
 #include "expert/util/rng.hpp"
 #include "expert/workload/presets.hpp"
 
@@ -62,6 +66,68 @@ void BM_EstimatorScalesWithBotSize(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_EstimatorScalesWithBotSize)->Range(64, 4096)->Complexity();
+
+/// The estimator's event mix in miniature: every send cancels the task's
+/// pending timeout check, schedules an instance finish and re-arms the
+/// check; a check that fires replicates the task. Each task gets a fixed
+/// send budget, so one run is about 2k events, ~40% of them cancelled (the
+/// estimator's share).
+class EngineWorkload {
+ public:
+  static constexpr std::size_t kTasks = 200;
+  static constexpr int kSendsPerTask = 5;
+
+  explicit EngineWorkload(std::uint64_t seed) : rng_(seed) {
+    for (std::size_t task = 0; task < kTasks; ++task) send(task);
+  }
+
+  void run() { engine_.run(); }
+  std::uint64_t scheduled() const noexcept { return scheduled_; }
+  std::uint64_t fired() const noexcept { return engine_.processed_events(); }
+  double finish_sum() const noexcept { return finish_sum_; }
+
+ private:
+  void send(std::size_t task) {
+    checks_[task].cancel();
+    if (sends_[task] == kSendsPerTask) return;
+    ++sends_[task];
+    const double now = engine_.now();
+    const double draw = rng_.uniform(0.0, 1.7);
+    engine_.schedule_in(draw, [this, task, now, draw] {
+      finish_sum_ += now + draw;
+      send(task);
+    });
+    checks_[task] = engine_.schedule_in(1.2, [this, task] { send(task); });
+    scheduled_ += 2;
+  }
+
+  sim::Engine engine_;
+  util::Rng rng_;
+  std::array<sim::Engine::EventHandle, kTasks> checks_{};
+  std::array<int, kTasks> sends_{};
+  double finish_sum_ = 0.0;
+  std::uint64_t scheduled_ = 0;
+};
+
+void BM_EngineScheduleFire(benchmark::State& state) {
+  std::uint64_t seed = 0;
+  std::uint64_t scheduled = 0;
+  std::uint64_t fired = 0;
+  for (auto _ : state) {
+    EngineWorkload workload(++seed);
+    workload.run();
+    benchmark::DoNotOptimize(workload.finish_sum());
+    scheduled += workload.scheduled();
+    fired += workload.fired();
+  }
+  state.counters["events_per_run"] = benchmark::Counter(
+      static_cast<double>(scheduled), benchmark::Counter::kAvgIterations);
+  state.counters["cancelled_share"] =
+      scheduled > 0 ? static_cast<double>(scheduled - fired) /
+                          static_cast<double>(scheduled)
+                    : 0.0;
+}
+BENCHMARK(BM_EngineScheduleFire)->Unit(benchmark::kMicrosecond);
 
 void BM_ParetoFrontierComputation(benchmark::State& state) {
   util::Rng rng(1);

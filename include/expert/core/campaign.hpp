@@ -142,6 +142,9 @@ class Campaign {
   std::optional<trace::ExecutionTrace> merged_history() const;
 
  private:
+  /// Model digest of the most recent re-plan (restored reports included).
+  std::optional<std::uint64_t> last_model_digest() const;
+
   Backend backend_;
   Options options_;
   std::vector<trace::ExecutionTrace> histories_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "expert/eval/service.hpp"
 #include "expert/obs/metrics.hpp"
 #include "expert/util/assert.hpp"
 
@@ -94,6 +95,13 @@ std::optional<trace::ExecutionTrace> Campaign::merged_history() const {
   return trace::ExecutionTrace(task_offset, std::move(merged), offset, offset);
 }
 
+std::optional<std::uint64_t> Campaign::last_model_digest() const {
+  for (auto it = reports_.rbegin(); it != reports_.rend(); ++it) {
+    if (it->model_digest) return it->model_digest;
+  }
+  return std::nullopt;
+}
+
 Campaign::BotReport Campaign::run_bot(const workload::Bot& bot,
                                       const Utility& utility) {
   strategies::StrategyConfig strategy =
@@ -107,6 +115,16 @@ Campaign::BotReport Campaign::run_bot(const workload::Bot& bot,
     report.quality = built.quality;
     report.degradation = built.degradation;
     report.model_digest = built.expert.estimator().model().digest();
+    // A re-plan over a new model supersedes the previous one: no later
+    // sweep keys on the old digest, so its eval-cache entries would only
+    // pile up until LRU eviction. Drop them, as a drift trip does.
+    const std::optional<std::uint64_t> previous = last_model_digest();
+    if (previous && *previous != *report.model_digest) {
+      eval::EvalService& service = options_.expert.frontier.service
+                                       ? *options_.expert.frontier.service
+                                       : eval::EvalService::global();
+      service.cache().invalidate_model(*previous);
+    }
     // The degraded synthetic model still yields a recommendation, so even a
     // faulted campaign keeps making NTDMr decisions — just openly weaker
     // ones. Recommendation failure on top of it keeps the original reason.

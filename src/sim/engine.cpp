@@ -1,6 +1,7 @@
 #include "expert/sim/engine.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "expert/obs/metrics.hpp"
@@ -27,48 +28,66 @@ EngineMetrics& engine_metrics() {
   return metrics;
 }
 
+/// Heap order: a sorts after b (std heap algorithms build a max-heap, so
+/// this puts the earliest (time, seq) at the front).
+struct Later {
+  template <typename E>
+  bool operator()(const E& a, const E& b) const noexcept {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+};
+
 }  // namespace
 
-void Engine::EventHandle::cancel() {
-  if (node_ && !node_->cancelled) {
-    node_->cancelled = true;
-    node_->fn = nullptr;  // release captures promptly
-  }
-}
-
-bool Engine::EventHandle::pending() const {
-  return node_ && !node_->cancelled && node_->fn != nullptr;
-}
-
-Engine::EventHandle Engine::schedule_at(SimTime at, std::function<void()> fn) {
+Engine::EventHandle Engine::enqueue(SimTime at, Thunk invoke) {
   EXPERT_REQUIRE(at >= now_, "cannot schedule an event in the past");
-  EXPERT_REQUIRE(fn != nullptr, "event callback must be callable");
-  auto node = std::make_shared<EventHandle::Node>();
-  node->time = at;
-  node->seq = next_seq_++;
-  node->fn = std::move(fn);
-  heap_.push(node);
-  ++live_events_;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    EXPERT_CHECK(slots_.size() < std::numeric_limits<std::uint32_t>::max(),
+                 "event slot pool exhausted");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const std::uint64_t seq = next_seq_++;
+  slots_[slot].invoke = invoke;
+  slots_[slot].generation = seq;
+  heap_.push_back(Entry{at, seq, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++obs_scheduled_;
   obs_max_queue_ = std::max(obs_max_queue_, heap_.size());
-  return EventHandle(std::move(node));
+  return EventHandle(this, slot, seq);
 }
 
-Engine::EventHandle Engine::schedule_in(SimTime delay,
-                                        std::function<void()> fn) {
-  EXPERT_REQUIRE(delay >= 0.0, "negative delay");
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
-Engine::NodePtr Engine::pop_next() {
-  while (!heap_.empty()) {
-    NodePtr node = heap_.top();
-    heap_.pop();
-    --live_events_;
-    if (!node->cancelled) return node;
+void Engine::discard_cancelled(SimTime horizon) {
+  while (!heap_.empty() && heap_.front().time <= horizon &&
+         slots_[heap_.front().slot].invoke == nullptr) {
+    free_slots_.push_back(heap_.front().slot);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
     ++obs_cancelled_;
   }
-  return nullptr;
+}
+
+void Engine::fire_head() {
+  const Entry head = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  // Copy the callback out and recycle its slot before running it: the
+  // callback may schedule events that reuse the slot or grow the pool.
+  Slot& slot = slots_[head.slot];
+  const Thunk invoke = slot.invoke;
+  alignas(std::max_align_t) unsigned char fn[kMaxCallbackBytes];
+  std::memcpy(fn, slot.storage, sizeof fn);
+  slot.invoke = nullptr;
+  free_slots_.push_back(head.slot);
+  now_ = head.time;
+  ++processed_;
+  ++obs_fired_;
+  invoke(fn);
 }
 
 SimTime Engine::run() {
@@ -77,21 +96,18 @@ SimTime Engine::run() {
 
 SimTime Engine::run_until(SimTime horizon) {
   stop_requested_ = false;
-  while (!heap_.empty() && !stop_requested_) {
-    if (heap_.top()->time > horizon) {
-      now_ = std::max(now_, std::min(horizon, heap_.top()->time));
-      flush_metrics();
-      return now_;
+  while (!stop_requested_) {
+    // Cancelled heads go first, so the horizon check sees the next event
+    // that would actually fire.
+    discard_cancelled(horizon);
+    if (heap_.empty()) break;
+    if (heap_.front().time > horizon) {
+      now_ = std::max(now_, horizon);
+      break;
     }
-    NodePtr node = pop_next();
-    if (!node) break;
-    EXPERT_CHECK(node->time + 1e-9 >= now_, "event time went backwards");
-    now_ = node->time;
-    auto fn = std::move(node->fn);
-    node->fn = nullptr;
-    ++processed_;
-    ++obs_fired_;
-    fn();
+    EXPERT_CHECK(heap_.front().time + 1e-9 >= now_,
+                 "event time went backwards");
+    fire_head();
   }
   flush_metrics();
   return now_;
@@ -100,21 +116,14 @@ SimTime Engine::run_until(SimTime horizon) {
 std::size_t Engine::run_some(std::size_t count) {
   std::size_t done = 0;
   while (done < count) {
-    NodePtr node = pop_next();
-    if (!node) break;
-    now_ = node->time;
-    auto fn = std::move(node->fn);
-    node->fn = nullptr;
-    ++processed_;
-    ++obs_fired_;
+    discard_cancelled(std::numeric_limits<SimTime>::infinity());
+    if (heap_.empty()) break;
+    fire_head();
     ++done;
-    fn();
   }
   flush_metrics();
   return done;
 }
-
-bool Engine::empty() const { return live_events_ == 0; }
 
 void Engine::flush_metrics() {
   if (obs::Registry::global().enabled()) {

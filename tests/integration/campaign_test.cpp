@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "expert/core/characterization.hpp"
+#include "expert/eval/service.hpp"
 #include "expert/gridsim/executor.hpp"
 #include "expert/gridsim/presets.hpp"
 #include "expert/util/assert.hpp"
@@ -215,6 +216,31 @@ TEST(Campaign, HistoryWindowBoundsMemory) {
   ASSERT_TRUE(merged.has_value());
   EXPECT_EQ(merged->task_count(), 160u);  // only the last two BoTs retained
   EXPECT_EQ(campaign.completed_bots(), 4u);
+}
+
+TEST(Campaign, ReplanDropsSupersededModelCacheEntries) {
+  eval::EvalService service;
+  auto opts = options();
+  opts.expert.frontier.service = &service;
+  opts.expert.frontier.threads = 1;
+  Campaign campaign(gridsim_backend(), opts);
+  campaign.run_bot(bot(30, 80), Utility::cheapest());
+  EXPECT_EQ(service.cache().stats().entries, 0u);  // bootstrap: no sweep
+
+  campaign.run_bot(bot(31, 80), Utility::cheapest());
+  const std::size_t one_sweep = service.cache().stats().entries;
+  ASSERT_GT(one_sweep, 0u);
+
+  // Every later BoT re-plans over a new model; the cache keeps only the
+  // latest sweep, not a running total.
+  for (std::uint64_t i = 2; i < 5; ++i) {
+    campaign.run_bot(bot(30 + i, 80), Utility::cheapest());
+    const auto& reports = campaign.reports();
+    ASSERT_TRUE(reports[i].model_digest && reports[i - 1].model_digest);
+    EXPECT_NE(*reports[i].model_digest, *reports[i - 1].model_digest);
+    EXPECT_EQ(service.cache().stats().entries, one_sweep) << "after BoT " << i;
+  }
+  EXPECT_EQ(service.cache().stats().invalidated, 3 * one_sweep);
 }
 
 TEST(Campaign, RecommendationImprovesOnNaiveBootstrap) {

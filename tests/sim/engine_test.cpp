@@ -108,13 +108,97 @@ TEST(Engine, EventsCanScheduleChains) {
   Engine engine;
   int depth = 0;
   std::function<void()> chain = [&] {
-    if (++depth < 100) engine.schedule_in(1.0, chain);
+    if (++depth < 100) engine.schedule_in(1.0, [&chain] { chain(); });
   };
-  engine.schedule_at(0.0, chain);
+  engine.schedule_at(0.0, [&chain] { chain(); });
   engine.run();
   EXPECT_EQ(depth, 100);
   EXPECT_DOUBLE_EQ(engine.now(), 99.0);
   EXPECT_EQ(engine.processed_events(), 100u);
+}
+
+TEST(Engine, RunUntilDoesNotFirePastHorizonBehindCancelledHead) {
+  Engine engine;
+  bool fired = false;
+  auto cancelled = engine.schedule_at(1.0, [] {});
+  engine.schedule_at(10.0, [&] { fired = true; });
+  cancelled.cancel();
+  EXPECT_DOUBLE_EQ(engine.run_until(5.0), 5.0);
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(engine.processed_events(), 0u);
+  EXPECT_DOUBLE_EQ(engine.run_until(20.0), 10.0);
+  EXPECT_TRUE(fired);
+}
+
+TEST(Engine, StaleHandleDoesNotCancelRecycledSlot) {
+  Engine engine;
+  int first = 0;
+  int second = 0;
+  auto stale = engine.schedule_at(1.0, [&] { ++first; });
+  engine.run();
+  // The fired event's slot is free again; the next event reuses it.
+  auto fresh = engine.schedule_at(2.0, [&] { ++second; });
+  EXPECT_FALSE(stale.pending());
+  stale.cancel();
+  EXPECT_TRUE(fresh.pending());
+  engine.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+}
+
+TEST(Engine, StaleHandleOfCancelledEventDoesNotCancelRecycledSlot) {
+  Engine engine;
+  int fired = 0;
+  auto stale = engine.schedule_at(1.0, [&] { fired += 100; });
+  stale.cancel();
+  engine.run();  // pops the cancelled entry and recycles its slot
+  auto fresh = engine.schedule_at(2.0, [&] { ++fired; });
+  stale.cancel();
+  EXPECT_FALSE(stale.pending());
+  EXPECT_TRUE(fresh.pending());
+  engine.run();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Engine, HandleIsNotPendingOnceFiredOrWhileFiring) {
+  Engine engine;
+  Engine::EventHandle handle;
+  bool pending_inside = true;
+  handle = engine.schedule_at(1.0, [&] { pending_inside = handle.pending(); });
+  EXPECT_TRUE(handle.pending());
+  engine.run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_FALSE(handle.pending());
+  handle.cancel();
+  EXPECT_FALSE(handle.pending());
+  EXPECT_EQ(engine.processed_events(), 1u);
+}
+
+TEST(Engine, DefaultHandleIsInert) {
+  Engine::EventHandle handle;
+  EXPECT_FALSE(handle.pending());
+  handle.cancel();
+  EXPECT_FALSE(handle.pending());
+}
+
+TEST(Engine, CallbackMayGrowTheSlotPoolWhileRunning) {
+  Engine engine;
+  constexpr int kFanOut = 4096;
+  // The capture fills most of the inline buffer, so a callback read from a
+  // reallocated pool would see garbage.
+  const double a = 1.5, b = 2.5, c = 3.5, d = 4.5, e = 5.5;
+  double sum = 0.0;
+  int fired = 0;
+  engine.schedule_at(0.0, [&engine, &sum, &fired, a, b, c, d, e] {
+    for (int i = 0; i < kFanOut; ++i) {
+      engine.schedule_in(1.0, [&fired] { ++fired; });
+    }
+    sum = a + b + c + d + e;
+  });
+  engine.run();
+  EXPECT_DOUBLE_EQ(sum, 17.5);
+  EXPECT_EQ(fired, kFanOut);
+  EXPECT_EQ(engine.processed_events(), static_cast<std::uint64_t>(kFanOut) + 1);
 }
 
 TEST(Engine, EmptyAfterDrain) {

@@ -102,6 +102,227 @@ TEST(EnvGolden, LegacyPairEqualsExplicitClassicEnvironment) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden replication-flow rows. The Estimator and gridsim run the same Fig. 3
+// instance flow; each row pins one (backend, strategy) pair byte for byte so
+// a refactor of that flow cannot silently change either backend. Estimator
+// rows also pin the run's RunMetrics as hexfloats (the Fig. 10 counters
+// included). The digests were computed on the pre-refactor code.
+
+enum class GoldenBackend { Estimator, Gridsim, GridsimAdaptive, GridsimChaos };
+
+struct GoldenRow {
+  const char* name;
+  GoldenBackend backend;
+  strategies::StrategyConfig (*strategy)();
+  std::size_t csv_size;
+  std::uint64_t csv_digest;
+  const char* metrics;  ///< hexfloat RunMetrics; Estimator rows only
+};
+
+constexpr double kGoldenEstimatorMean = 1000.0;
+
+double golden_gridsim_tur() {
+  return workload::workload_spec(experiment11().workload).mean_cpu;
+}
+
+strategies::NTDMr golden_ntdmr(unsigned n, double t, double d, double mr) {
+  strategies::NTDMr p;
+  p.n = n;
+  p.timeout_t = t;
+  p.deadline_d = d;
+  p.mr = mr;
+  return p;
+}
+
+template <strategies::StaticStrategyKind Kind>
+strategies::StrategyConfig estimator_static() {
+  return strategies::make_static_strategy(Kind, kGoldenEstimatorMean, 0.2,
+                                          /*budget_cents=*/300.0);
+}
+
+template <strategies::StaticStrategyKind Kind>
+strategies::StrategyConfig gridsim_static() {
+  return strategies::make_static_strategy(Kind, golden_gridsim_tur(), 0.1,
+                                          /*budget_cents=*/2500.0);
+}
+
+strategies::StrategyConfig estimator_ntdmr() {
+  return strategies::make_ntdmr_strategy(
+      golden_ntdmr(2, 500.0, 2000.0, 0.2));
+}
+
+strategies::StrategyConfig gridsim_ntdmr() {
+  return strategies::make_ntdmr_strategy(
+      golden_ntdmr(2, 1500.0, 4000.0, 0.1));
+}
+
+strategies::StrategyConfig experiment11_strategy() {
+  return make_experiment_strategy(experiment11());
+}
+
+std::string hex_metrics(const core::RunMetrics& m) {
+  std::ostringstream out;
+  out << std::hexfloat << m.finished << ',' << m.makespan << ',' << m.t_tail
+      << ',' << m.tail_makespan << ',' << m.total_cost_cents << ','
+      << m.cost_per_task_cents << ',' << m.tail_cost_per_tail_task_cents
+      << ',' << m.tail_tasks << ',' << m.reliable_instances_sent << ','
+      << m.unreliable_instances_sent << ',' << m.duplicate_results << ','
+      << m.used_mr << ',' << m.max_reliable_queue << ','
+      << m.max_reliable_queue_fraction;
+  return out.str();
+}
+
+std::string golden_csv(const trace::ExecutionTrace& trace) {
+  std::ostringstream csv;
+  trace::write_csv(trace, csv);
+  return csv.str();
+}
+
+class EnvGoldenRows : public ::testing::TestWithParam<GoldenRow> {};
+
+TEST_P(EnvGoldenRows, ByteIdentical) {
+  const GoldenRow& row = GetParam();
+  const auto strategy = row.strategy();
+  std::string csv;
+  if (row.backend == GoldenBackend::Estimator) {
+    core::EstimatorConfig cfg;
+    cfg.unreliable_size = 25;
+    cfg.tr = kGoldenEstimatorMean;
+    cfg.throughput_deadline = 4.0 * kGoldenEstimatorMean;
+    cfg.seed = 0x601D5EEDULL;
+    const core::Estimator est(
+        cfg, core::make_synthetic_model(kGoldenEstimatorMean, 300.0, 3200.0,
+                                        0.75));
+    const auto [metrics, trace] =
+        est.simulate(120, strategy, /*stream=*/1, /*repetition=*/0);
+    EXPECT_EQ(hex_metrics(metrics), row.metrics);
+    csv = golden_csv(trace);
+  } else {
+    auto cfg = make_experiment_environment(experiment11(), 0x601DULL);
+    if (row.backend == GoldenBackend::GridsimChaos) {
+      chaos::ChaosConfig plan;
+      plan.dispatch_failure_prob = 0.6;
+      plan.max_dispatch_retries = 2;
+      plan.result_loss_prob = 0.05;
+      cfg.chaos = plan;
+    }
+    const Executor executor(cfg);
+    const auto bot = workload::make_bot(experiment11().workload, 0xB07ULL);
+    if (row.backend == GoldenBackend::GridsimAdaptive) {
+      // The selector's choice depends on the snapshot it is handed, so the
+      // row also pins the history view at T_tail.
+      const auto selector = [](const trace::ExecutionTrace& history) {
+        const auto n = static_cast<unsigned>(1 + history.records().size() % 2);
+        return strategies::make_ntdmr_strategy(
+            golden_ntdmr(n, 1000.0, 3000.0, 0.1));
+      };
+      csv = golden_csv(
+          executor.run_adaptive(bot, strategy, selector, /*stream=*/1));
+    } else {
+      csv = golden_csv(executor.run(bot, strategy, /*stream=*/1));
+    }
+  }
+  EXPECT_EQ(csv.size(), row.csv_size);
+  EXPECT_EQ(util::HashState(0x601DULL).mix(csv).digest(), row.csv_digest);
+}
+
+using strategies::StaticStrategyKind;
+
+const GoldenRow kGoldenRows[] = {
+    {"estimator_AR", GoldenBackend::Estimator,
+     estimator_static<StaticStrategyKind::AR>,
+     6150u, 0x0b012540d114f424ULL,
+     "1,0x1.77p+14,0x1.388p+14,0x1.f4p+11,0x1.1b55555555555p+10,"
+     "0x1.2e38e38e38e39p+3,0x1.f7b425ed097b8p+2,0x1.8p+4,0x1.ep+6,"
+     "0x0p+0,0x0p+0,0x1.999999999999ap-3,0x1.ep+6,0x1.4p+2"},
+    {"estimator_TRR", GoldenBackend::Estimator,
+     estimator_static<StaticStrategyKind::TRR>,
+     10898u, 0x18946d9517e0aff8ULL,
+     "1,0x1.7f70dcf2890aep+13,0x1.0270dcf2890aep+13,0x1.f4p+11,"
+     "0x1.7f4a61d950c86p+7,0x1.98d7dfd6bc917p+0,0x1.ac25ed097b428p+2,"
+     "0x1.8p+4,0x1.1p+4,0x1.16p+7,0x1.8p+1,0x1.999999999999ap-3,"
+     "0x1.8p+4,0x1p+0"},
+    {"estimator_TR", GoldenBackend::Estimator,
+     estimator_static<StaticStrategyKind::TR>,
+     10347u, 0x299d9fd8edcf6e24ULL,
+     "1,0x1.964p+13,0x1.0270dcf2890aep+13,0x1.279e461aedea4p+12,"
+     "0x1.469fb72ea61dbp+7,0x1.5c6618ba4aca5p+0,0x1.6097b425ed098p+2,"
+     "0x1.8p+4,0x1.cp+3,0x1.16p+7,0x0p+0,0x1.999999999999ap-3,0x1p+0,"
+     "0x1.5555555555555p-5"},
+    {"estimator_AUR", GoldenBackend::Estimator,
+     estimator_static<StaticStrategyKind::AUR>,
+     10705u, 0x91e42d17c90c9246ULL,
+     "1,0x1.d735fc62df9b9p+13,0x1.0270dcf2890aep+13,"
+     "0x1.a98a3ee0ad216p+12,0x1.113579be02468p+5,0x1.236c3d9779e4dp-2,"
+     "0x1.053d0f8cb4871p-3,0x1.8p+4,0x0p+0,0x1.38p+7,0x0p+0,0x0p+0,"
+     "0x0p+0,0x0p+0"},
+    {"estimator_Budget", GoldenBackend::Estimator,
+     estimator_static<StaticStrategyKind::Budget>,
+     10817u, 0xb52e670b78d54786ULL,
+     "1,0x1.8e307b4f2da3ap+13,0x1.0270dcf2890aep+13,"
+     "0x1.177f3cb949318p+12,0x1.ec8ca8641fdbfp+7,0x1.06b16ae010fddp+1,"
+     "0x1.c555555555558p+2,0x1.8p+4,0x1.7p+4,0x1.06p+7,0x1.8p+1,"
+     "0x1.999999999999ap-3,0x1.cp+4,0x1.2aaaaaaaaaaabp+0"},
+    {"estimator_CNInf", GoldenBackend::Estimator,
+     estimator_static<StaticStrategyKind::CNInf>,
+     9343u, 0xbff58745c0bf6e36ULL,
+     "1,0x1.200199c43153bp+14,0x1.69f88880c344ep+12,"
+     "0x1.8b06ef480104fp+13,0x1.35ecf13579be4p+8,0x1.4a96569f70cafp+1,"
+     "0x1.256d9b1df623ap-3,0x1.8p+4,0x1.ep+4,0x1.dp+6,0x0p+0,"
+     "0x1.999999999999ap-3,0x0p+0,0x0p+0"},
+    {"estimator_CN1T0", GoldenBackend::Estimator,
+     estimator_static<StaticStrategyKind::CN1T0>,
+     9155u, 0xa5428bfe78e56ea3ULL,
+     "1,0x1.194p+13,0x1.69f88880c344ep+12,0x1.910eeefe79764p+11,"
+     "0x1.c027530eca86cp+8,0x1.de07d00fc6f62p+1,0x1.79c71c71c71c8p+2,"
+     "0x1.8p+4,0x1.68p+5,0x1.94p+6,0x1p+2,0x1.999999999999ap-3,0x1.3p+4,"
+     "0x1.9555555555555p-1"},
+    {"estimator_NTDMr_N2", GoldenBackend::Estimator,
+     estimator_ntdmr,
+     11470u, 0xb315093cb61f58fbULL,
+     "1,0x1.59baed14d8106p+13,0x1.0270dcf2890aep+13,"
+     "0x1.5d2840893c16p+11,0x1.6560b60b60b62p+5,0x1.7d33f5617839cp-2,"
+     "0x1.21c28f5c28f5cp-1,0x1.8p+4,0x1p+1,0x1.4ap+7,0x1.4p+2,"
+     "0x1.47ae147ae147bp-4,0x1p+0,0x1.5555555555555p-5"},
+    {"gridsim_AR", GoldenBackend::Gridsim,
+     gridsim_static<StaticStrategyKind::AR>,
+     63398u, 0xc068ca4ba7ae56b9ULL, nullptr},
+    {"gridsim_TRR", GoldenBackend::Gridsim,
+     gridsim_static<StaticStrategyKind::TRR>,
+     77367u, 0xe9201e6d4336c731ULL, nullptr},
+    {"gridsim_TR", GoldenBackend::Gridsim,
+     gridsim_static<StaticStrategyKind::TR>,
+     70844u, 0xcd3361928046e6ffULL, nullptr},
+    {"gridsim_AUR", GoldenBackend::Gridsim,
+     gridsim_static<StaticStrategyKind::AUR>,
+     71828u, 0x6b3f0dcda77a7a24ULL, nullptr},
+    {"gridsim_Budget", GoldenBackend::Gridsim,
+     gridsim_static<StaticStrategyKind::Budget>,
+     75402u, 0x89eb482a46cc2168ULL, nullptr},
+    {"gridsim_CNInf", GoldenBackend::Gridsim,
+     gridsim_static<StaticStrategyKind::CNInf>,
+     70473u, 0xc48563907607fc48ULL, nullptr},
+    {"gridsim_CN1T0", GoldenBackend::Gridsim,
+     gridsim_static<StaticStrategyKind::CN1T0>,
+     75691u, 0xb2d2959080c183e9ULL, nullptr},
+    {"gridsim_NTDMr_N2", GoldenBackend::Gridsim,
+     gridsim_ntdmr,
+     79948u, 0x80b48f9e58564f86ULL, nullptr},
+    {"gridsim_adaptive", GoldenBackend::GridsimAdaptive,
+     gridsim_static<StaticStrategyKind::AUR>,
+     81369u, 0x4f1f8ab8e55927c0ULL, nullptr},
+    {"gridsim_chaos", GoldenBackend::GridsimChaos,
+     experiment11_strategy,
+     75546u, 0x838c758359ad380eULL, nullptr},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    EnvGolden, EnvGoldenRows, ::testing::ValuesIn(kGoldenRows),
+    [](const ::testing::TestParamInfo<GoldenRow>& row_info) {
+      return std::string(row_info.param.name);
+    });
+
+// ---------------------------------------------------------------------------
 // Spot-market dynamics.
 
 TEST(SpotDynamics, OutOfBidSetMonotoneInVolatility) {

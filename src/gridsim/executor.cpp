@@ -4,14 +4,13 @@
 #include <array>
 #include <cmath>
 #include <csignal>
-#include <deque>
 #include <limits>
 #include <map>
 
 #include "expert/gridsim/env/dynamics.hpp"
 #include "expert/obs/metrics.hpp"
 #include "expert/obs/tracing.hpp"
-#include "expert/sim/engine.hpp"
+#include "expert/sim/replication.hpp"
 #include "expert/util/money.hpp"
 #include "expert/util/assert.hpp"
 
@@ -114,12 +113,6 @@ using trace::PoolKind;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct PhaseRules {
-  std::optional<unsigned> n;
-  double timeout_t = 0.0;
-  double deadline_d = 0.0;
-};
-
 constexpr std::size_t kNoGridGroup = std::numeric_limits<std::size_t>::max();
 
 struct Machine {
@@ -175,23 +168,18 @@ class Run {
         selector_(selector),
         stream_(stream),
         rng_(util::derive_seed(cfg.seed, stream)),
-        tasks_(bot.size()),
-        remaining_(bot.size()) {
+        flow_(*this, engine_, strategy_, bot.size()),
+        dispatch_attempts_(bot.size(), 0) {
     if (cfg_.chaos && cfg_.chaos->any()) {
       chaos_ = &*cfg_.chaos;
       chaos_rng_ = chaos::event_rng(*chaos_, stream);
     }
-    thr_deadline_ = cfg_.throughput_deadline > 0.0
-                        ? cfg_.throughput_deadline
-                        : 4.0 * bot_.mean_cpu_seconds();
-    throughput_rules_ = PhaseRules{std::nullopt, thr_deadline_, thr_deadline_};
     build_machines(stream);
     if (strategy_.throughput == ThroughputPolicy::ReliableOnly) {
       EXPERT_REQUIRE(reliable_count_ > 0,
                      "ReliableOnly strategy needs a reliable pool");
     }
     validate_tail_strategy(strategy_);
-    tail_trigger_ = unreliable_count_ > 0 ? unreliable_count_ - 1 : 0;
   }
 
   void validate_tail_strategy(const StrategyConfig& s) const {
@@ -245,19 +233,17 @@ class Run {
         schedule_down(m);
       }
     }
-    maybe_start_tail();
-    for (workload::TaskId t = 0; t < tasks_.size(); ++t) consider_enqueue(t);
-    dispatch();
+    flow_.start(cfg_.throughput_deadline > 0.0
+                    ? cfg_.throughput_deadline
+                    : 4.0 * bot_.mean_cpu_seconds(),
+                unreliable_count_ > 0 ? unreliable_count_ - 1 : 0);
     engine_.run_until(cfg_.max_sim_time);
-    if (remaining_ > 0) {
+    if (!flow_.finished()) {
       EXPERT_CHECK(!cfg_.strict_horizon,
                    "gridsim run hit the simulation horizon before completing");
       return truncate_at_horizon();
     }
-    flush_metrics();
-    const double t_tail = tail_started_ ? t_tail_ : completion_time_;
-    return trace::ExecutionTrace(tasks_.size(), std::move(records_), t_tail,
-                                 completion_time_);
+    return finish(flow_.completion_time(), /*truncated=*/false);
   }
 
   /// The run hit max_sim_time with tasks outstanding: hand back everything
@@ -268,37 +254,22 @@ class Run {
   trace::ExecutionTrace truncate_at_horizon() {
     obs_truncated_ = 1;
     for (const auto& p : pending_) {
-      records_.push_back(InstanceRecord{p.task, p.pool, p.send_time, kInf,
-                                        InstanceOutcome::Timeout, 0.0,
-                                        tail_started_ && p.send_time >= t_tail_});
+      flow_.record(InstanceRecord{p.task, p.pool, p.send_time, kInf,
+                                  InstanceOutcome::Timeout, 0.0,
+                                  flow_.in_tail(p.send_time)});
     }
-    completion_time_ = cfg_.max_sim_time;
-    flush_metrics();
-    const double t_tail = tail_started_ ? t_tail_ : completion_time_;
-    return trace::ExecutionTrace(tasks_.size(), std::move(records_), t_tail,
-                                 completion_time_, /*truncated=*/true);
+    return finish(cfg_.max_sim_time, /*truncated=*/true);
   }
 
  private:
-  enum class Queued { None, Unreliable, Reliable };
+  friend class sim::ReplicationFlow<Run>;
 
-  struct TaskState {
-    bool completed = false;
-    bool reliable_used = false;
-    Queued queued = Queued::None;
-    std::uint64_t epoch = 0;
-    double enqueue_time = 0.0;
-    double last_send = -kInf;
-    unsigned tail_ur_enqueued = 0;
-    /// Consecutive reliable-pool launch failures (chaos dispatch faults).
-    std::size_t dispatch_attempts = 0;
-    sim::Engine::EventHandle check;
-  };
-
-  struct QueueEntry {
-    workload::TaskId task = 0;
-    std::uint64_t epoch = 0;
-  };
+  trace::ExecutionTrace finish(double makespan, bool truncated) {
+    flush_metrics(makespan);
+    const double t_tail = flow_.tail_started() ? flow_.t_tail() : makespan;
+    return trace::ExecutionTrace(flow_.task_count(), flow_.take_records(),
+                                 t_tail, makespan, truncated);
+  }
 
   /// Draw (or redraw, on exclusion-driven replacement) the host behind a
   /// machine slot: speed and mean up-time from the group's distributions.
@@ -540,7 +511,7 @@ class Run {
     machines_[m].up = true;
     ++obs_up_;
     schedule_down(m);
-    dispatch();
+    flow_.dispatch();
   }
 
   // ---- chaos: forced availability transitions ----
@@ -572,7 +543,7 @@ class Run {
     machine.up = true;
     ++obs_up_;
     schedule_down(m);
-    dispatch();
+    flow_.dispatch();
   }
 
   /// Next forced-down transition of a machine: its time (at or after
@@ -612,7 +583,7 @@ class Run {
       ++obs_up_;
       machine.next_down = span.end;
       engine_.schedule_at(span.end, guarded(m, [this, m] { on_down(m); }));
-      dispatch();
+      flow_.dispatch();
     } else {
       engine_.schedule_at(span.start, guarded(m, [this, m, span] {
                             auto& mach = machines_[m];
@@ -622,91 +593,28 @@ class Run {
                             engine_.schedule_at(
                                 span.end,
                                 guarded(m, [this, m] { on_down(m); }));
-                            dispatch();
+                            flow_.dispatch();
                           }));
     }
   }
 
-  // ---- scheduler (same replication semantics as the ExPERT Estimator) ----
-
-  const PhaseRules& current_rules() const {
-    if (!tail_started_) return throughput_rules_;
-    switch (strategy_.tail_mode) {
-      case TailMode::NTDMrTail:
-        if (!tail_rules_cached_) {
-          tail_rules_ = PhaseRules{strategy_.ntdmr.n, strategy_.ntdmr.timeout_t,
-                                   strategy_.ntdmr.deadline_d};
-          tail_rules_cached_ = true;
-        }
-        return tail_rules_;
-      case TailMode::ReplicateAllReliable:
-        if (!tail_rules_cached_) {
-          tail_rules_ = PhaseRules{0u, 0.0, strategy_.ntdmr.deadline_d};
-          tail_rules_cached_ = true;
-        }
-        return tail_rules_;
-      case TailMode::Continue:
-      case TailMode::BudgetTriggered:
-        return throughput_rules_;
-    }
-    return throughput_rules_;
-  }
-
-  bool combined_overflow() const {
-    return strategy_.throughput == ThroughputPolicy::Combined;
-  }
-  bool primary_reliable() const {
-    return strategy_.throughput == ThroughputPolicy::ReliableOnly;
-  }
+  // ---- ReplicationFlow host: machine slots, machine-level sends ----
 
   std::size_t reliable_limit() const {
     // Mr caps concurrently used reliable machines at ceil(Mr * l_ur).
     const auto cap = static_cast<std::size_t>(
         std::ceil(strategy_.ntdmr.mr * static_cast<double>(unreliable_count_)));
-    return primary_reliable() ? reliable_count_
-                              : std::min(cap, reliable_count_);
+    return strategy_.throughput == ThroughputPolicy::ReliableOnly
+               ? reliable_count_
+               : std::min(cap, reliable_count_);
   }
 
-  void enqueue(workload::TaskId task, Queued where) {
-    auto& st = tasks_[task];
-    EXPERT_CHECK(st.queued == Queued::None, "task already enqueued");
-    st.queued = where;
-    ++st.epoch;
-    st.enqueue_time = engine_.now();
-    if (where == Queued::Unreliable) {
-      ur_queue_.push_back({task, st.epoch});
-    } else {
-      r_queue_.push_back({task, st.epoch});
-      st.reliable_used = true;
-    }
-  }
-
-  void cancel_queued(workload::TaskId task) {
-    auto& st = tasks_[task];
-    if (st.queued == Queued::None) return;
-    records_.push_back(InstanceRecord{
-        task,
-        st.queued == Queued::Reliable ? PoolKind::Reliable
-                                      : PoolKind::Unreliable,
-        st.enqueue_time, kInf, InstanceOutcome::Cancelled, 0.0,
-        tail_started_ && st.enqueue_time >= t_tail_});
-    st.queued = Queued::None;
-    ++st.epoch;
-  }
-
-  std::optional<workload::TaskId> pop_valid(std::deque<QueueEntry>& queue,
-                                            Queued pool) {
-    while (!queue.empty()) {
-      const QueueEntry e = queue.front();
-      queue.pop_front();
-      const auto& st = tasks_[e.task];
-      if (st.queued == pool && st.epoch == e.epoch && !st.completed)
-        return e.task;
-    }
-    return std::nullopt;
-  }
-
-  std::optional<std::size_t> find_idle_machine(bool reliable) {
+  /// Next idle, up machine of the pool, round-robin from the pool's cursor
+  /// (which advances past the machine returned). The reliable pool is
+  /// further capped by Mr.
+  std::optional<std::size_t> idle_slot(PoolKind pool) {
+    const bool reliable = pool == PoolKind::Reliable;
+    if (reliable && busy_reliable() >= reliable_limit()) return std::nullopt;
     const std::size_t n = machines_.size();
     std::size_t& cursor = reliable ? r_cursor_ : ur_cursor_;
     for (std::size_t step = 0; step < n; ++step) {
@@ -728,37 +636,47 @@ class Run {
     return busy;
   }
 
-  void dispatch() {
-    // Unreliable pool first.
-    for (;;) {
-      const auto m = find_idle_machine(false);
-      if (!m) break;
-      const auto task = pop_valid(ur_queue_, Queued::Unreliable);
-      if (!task) break;
-      send(*task, *m);
-    }
-    // Reliable pool, capped by Mr.
-    const std::size_t cap = reliable_limit();
-    while (busy_reliable() < cap) {
-      const auto m = find_idle_machine(true);
-      if (!m) break;
-      if (const auto task = pop_valid(r_queue_, Queued::Reliable)) {
-        send(*task, *m);
-        continue;
+  /// Budget-trigger estimate of one replica: the cheapest reliable group
+  /// rate applied to the BoT's mean task CPU time.
+  double replication_cost_cents() const {
+    double rate = kInf;
+    double period = 1.0;
+    for (const auto& m : machines_) {
+      if (m.reliable_pool && m.price.rate_cents_per_s < rate) {
+        rate = m.price.rate_cents_per_s;
+        period = m.price.period_s;
       }
-      if (combined_overflow()) {
-        if (const auto task = pop_valid(ur_queue_, Queued::Unreliable)) {
-          send(*task, *m);
-          continue;
-        }
-      }
-      break;
     }
+    return util::charge_cents(bot_.mean_cpu_seconds(), rate, period);
+  }
+
+  /// Online tail selection (run_adaptive): the selector sees the history
+  /// observed so far and replaces the tail behaviour. Only the tail may
+  /// change mid-run; the throughput policy already played out.
+  void on_tail_start() {
+    if (selector_ == nullptr || *selector_ == nullptr) return;
+    StrategyConfig chosen = (*selector_)(snapshot_history());
+    chosen.validate();
+    validate_tail_strategy(chosen);
+    chosen.throughput = strategy_.throughput;
+    strategy_ = std::move(chosen);
+  }
+
+  /// History observed by the scheduler at this instant: resolved instances
+  /// as recorded, still-running ones as unreturned (the online reliability
+  /// model's partial-knowledge epoch expects exactly this view).
+  trace::ExecutionTrace snapshot_history() const {
+    std::vector<InstanceRecord> records = flow_.records();
+    for (const auto& p : pending_) {
+      records.push_back(InstanceRecord{p.task, p.pool, p.send_time, kInf,
+                                       InstanceOutcome::Timeout, 0.0, false});
+    }
+    return trace::ExecutionTrace(flow_.task_count(), std::move(records),
+                                 engine_.now(), engine_.now());
   }
 
   void send(workload::TaskId task, std::size_t machine_idx) {
     const double now = engine_.now();
-    auto& st = tasks_[task];
     auto& machine = machines_[machine_idx];
     EXPERT_CHECK(machine.up && !machine.busy, "dispatch to unusable machine");
 
@@ -771,10 +689,8 @@ class Run {
       return;
     }
 
-    st.queued = Queued::None;
-    ++st.epoch;
-    st.last_send = now;
-    st.dispatch_attempts = 0;
+    flow_.launched(task);
+    dispatch_attempts_[task] = 0;
     machine.busy = true;
 
     const bool reliable = machine.reliable_pool;
@@ -792,7 +708,7 @@ class Run {
     const double t_complete = now + wait + runtime;
     // Reliable (N+1)-th instances run without a deadline (paper §III);
     // unreliable instances are killed at the phase deadline.
-    const double t_kill = reliable ? kInf : now + current_rules().deadline_d;
+    const double t_kill = reliable ? kInf : now + flow_.rules().deadline_d;
     // The machine dies at its next natural down transition or at the next
     // forced-down window (chaos plan or environment dynamics), whichever
     // comes first. Both are known now, so the instance's outcome can be
@@ -809,7 +725,7 @@ class Run {
         ++obs_pools_[machine.pool_index].results_lost;
         engine_.schedule_at(t_complete, [this, machine_idx] {
           machines_[machine_idx].busy = false;
-          dispatch();
+          flow_.dispatch();
         });
         const double notify = t_kill == kInf ? t_complete : t_kill;
         engine_.schedule_at(notify, [this, task, machine_idx, now] {
@@ -867,81 +783,60 @@ class Run {
   /// materializes.
   void on_dispatch_failure(workload::TaskId task, std::size_t pool_index) {
     const double now = engine_.now();
-    auto& st = tasks_[task];
-    st.queued = Queued::None;  // the queue entry was consumed by dispatch()
-    ++st.epoch;
+    std::size_t& attempts = dispatch_attempts_[task];
     ++obs_pools_[pool_index].dispatch_failures;
-    ++st.dispatch_attempts;
-    if (st.dispatch_attempts > chaos_->max_dispatch_retries) {
+    ++attempts;
+    if (attempts > chaos_->max_dispatch_retries) {
       ++obs_pools_[pool_index].dispatch_abandoned;
-      records_.push_back(InstanceRecord{
-          task, PoolKind::Reliable, now, kInf, InstanceOutcome::DispatchFailed,
-          0.0, tail_started_ && now >= t_tail_});
-      st.dispatch_attempts = 0;
+      flow_.record(InstanceRecord{task, PoolKind::Reliable, now, kInf,
+                                  InstanceOutcome::DispatchFailed, 0.0,
+                                  flow_.in_tail(now)});
+      attempts = 0;
       // Allow a later, fresh reliable retry cycle should the fallback
       // unreliable instance fail too.
-      st.reliable_used = false;
-      enqueue(task, Queued::Unreliable);
+      flow_.task(task).reliable_used = false;
+      flow_.enqueue(task, sim::Queued::Unreliable);
       return;
     }
     ++obs_pools_[pool_index].dispatch_retries;
-    const double factor =
-        std::pow(2.0, static_cast<double>(st.dispatch_attempts - 1));
+    const double factor = std::pow(2.0, static_cast<double>(attempts - 1));
     const double backoff =
         std::min(chaos_->dispatch_backoff_base_s * factor,
                  chaos_->dispatch_backoff_max_s) *
         chaos_rng_.uniform(0.5, 1.5);
     engine_.schedule_in(backoff, [this, task] {
-      auto& state = tasks_[task];
-      if (state.completed || state.queued != Queued::None) return;
-      enqueue(task, Queued::Reliable);
-      dispatch();
+      const auto& state = flow_.task(task);
+      if (state.completed || state.queued != sim::Queued::None) return;
+      flow_.enqueue(task, sim::Queued::Reliable);
+      flow_.dispatch();
     });
   }
 
   void on_success(workload::TaskId task, std::size_t machine_idx,
                   double send_time, double cost) {
-    const double now = engine_.now();
     auto& machine = machines_[machine_idx];
+    const PoolKind pool =
+        machine.reliable_pool ? PoolKind::Reliable : PoolKind::Unreliable;
     machine.busy = false;
     ++obs_pools_[machine.pool_index].completed;
-    remove_pending(task,
-                   machine.reliable_pool ? PoolKind::Reliable
-                                         : PoolKind::Unreliable,
-                   send_time);
-    total_cost_ += cost;
-    records_.push_back(InstanceRecord{
-        task,
-        machine.reliable_pool ? PoolKind::Reliable : PoolKind::Unreliable,
-        send_time, now - send_time, InstanceOutcome::Success, cost,
-        tail_started_ && send_time >= t_tail_});
-
-    auto& st = tasks_[task];
-    if (!st.completed) {
-      st.completed = true;
-      --remaining_;
-      cancel_queued(task);
-      st.check.cancel();
-      if (remaining_ == 0) {
-        completion_time_ = now;
-        engine_.stop();  // the campaign ends; late duplicates are unpaid
-      } else {
-        maybe_start_tail();
-        check_budget_trigger();
-      }
-    }
-    dispatch();
+    remove_pending(task, pool, send_time);
+    flow_.add_cost(cost);
+    flow_.record(InstanceRecord{task, pool, send_time,
+                                engine_.now() - send_time,
+                                InstanceOutcome::Success, cost,
+                                flow_.in_tail(send_time)});
+    flow_.complete(task);
+    flow_.dispatch();
   }
 
   void on_failure(workload::TaskId task, std::size_t machine_idx,
                   double send_time, bool frees_machine, FailCause cause) {
     auto& machine = machines_[machine_idx];
+    const PoolKind pool =
+        machine.reliable_pool ? PoolKind::Reliable : PoolKind::Unreliable;
     if (frees_machine) machine.busy = false;
     ++obs_pools_[machine.pool_index].preempted[cause_index(cause)];
-    remove_pending(task,
-                   machine.reliable_pool ? PoolKind::Reliable
-                                         : PoolKind::Unreliable,
-                   send_time);
+    remove_pending(task, pool, send_time);
     // Blackout and out-of-bid preemptions surface as their own trace
     // outcomes; duty-cycle and natural host deaths stay Timeout (the
     // scheduler cannot tell a recharging phone from a dead host).
@@ -949,126 +844,17 @@ class Run {
         cause == FailCause::Blackout  ? InstanceOutcome::Blackout
         : cause == FailCause::OutOfBid ? InstanceOutcome::OutOfBid
                                        : InstanceOutcome::Timeout;
-    records_.push_back(InstanceRecord{
-        task,
-        machine.reliable_pool ? PoolKind::Reliable : PoolKind::Unreliable,
-        send_time, kInf, outcome, 0.0,
-        tail_started_ && send_time >= t_tail_});
-    auto& st = tasks_[task];
+    flow_.record(InstanceRecord{task, pool, send_time, kInf, outcome, 0.0,
+                                flow_.in_tail(send_time)});
+    auto& st = flow_.task(task);
     if (!st.completed) {
-      if (machine.reliable_pool) {
-        // A dead reliable instance (cloud node loss) must be replaceable.
-        st.reliable_used = false;
-      }
-      consider_enqueue(task);
+      // A dead reliable instance (cloud node loss) must be replaceable.
+      if (machine.reliable_pool) st.reliable_used = false;
+      flow_.consider_enqueue(task);
     }
-    dispatch();
+    flow_.dispatch();
   }
 
-  void consider_enqueue(workload::TaskId task) {
-    auto& st = tasks_[task];
-    if (st.completed || st.queued != Queued::None) return;
-    const PhaseRules& rules = current_rules();
-    const double now = engine_.now();
-    // Compare against the same `due` expression schedule_check uses:
-    // computing `now - last_send < T` instead can disagree with
-    // `last_send + T <= now` by one ulp and re-arm a same-time check
-    // forever.
-    if (now < st.last_send + rules.timeout_t) {
-      schedule_check(task);
-      return;
-    }
-    if (primary_reliable()) {
-      enqueue(task, Queued::Reliable);
-      return;
-    }
-    if (!tail_started_ || !rules.n.has_value()) {
-      enqueue(task, Queued::Unreliable);
-      return;
-    }
-    if (st.tail_ur_enqueued < *rules.n) {
-      ++st.tail_ur_enqueued;
-      enqueue(task, Queued::Unreliable);
-    } else if (!st.reliable_used && reliable_limit() > 0) {
-      enqueue(task, Queued::Reliable);
-    }
-  }
-
-  void schedule_check(workload::TaskId task) {
-    auto& st = tasks_[task];
-    if (st.completed) return;
-    const double due = st.last_send + current_rules().timeout_t;
-    st.check.cancel();
-    st.check = engine_.schedule_at(std::max(due, engine_.now()),
-                                   [this, task] {
-                                     consider_enqueue(task);
-                                     dispatch();
-                                   });
-  }
-
-  void maybe_start_tail() {
-    if (tail_started_ || remaining_ > tail_trigger_) return;
-    tail_started_ = true;
-    t_tail_ = engine_.now();
-    if (selector_ != nullptr && *selector_ != nullptr) {
-      StrategyConfig chosen = (*selector_)(snapshot_history());
-      chosen.validate();
-      validate_tail_strategy(chosen);
-      // Only the tail behaviour may change mid-run; the throughput policy
-      // already played out.
-      chosen.throughput = strategy_.throughput;
-      strategy_ = std::move(chosen);
-      tail_rules_cached_ = false;
-    }
-    for (workload::TaskId t = 0; t < tasks_.size(); ++t) {
-      if (!tasks_[t].completed) consider_enqueue(t);
-    }
-    check_budget_trigger();
-  }
-
-  /// History observed by the scheduler at this instant: resolved instances
-  /// as recorded, still-running ones as unreturned (the online reliability
-  /// model's partial-knowledge epoch expects exactly this view).
-  trace::ExecutionTrace snapshot_history() const {
-    std::vector<InstanceRecord> records = records_;
-    for (const auto& p : pending_) {
-      records.push_back(InstanceRecord{p.task, p.pool, p.send_time, kInf,
-                                       InstanceOutcome::Timeout, 0.0, false});
-    }
-    return trace::ExecutionTrace(tasks_.size(), std::move(records),
-                                 engine_.now(), engine_.now());
-  }
-
-  void check_budget_trigger() {
-    if (strategy_.tail_mode != TailMode::BudgetTriggered || budget_fired_)
-      return;
-    // Estimate replication cost with the cheapest reliable group rate.
-    double rate = kInf;
-    double period = 1.0;
-    for (const auto& m : machines_) {
-      if (m.reliable_pool && m.price.rate_cents_per_s < rate) {
-        rate = m.price.rate_cents_per_s;
-        period = m.price.period_s;
-      }
-    }
-    if (rate == kInf) return;  // no reliable pool to replicate onto
-    const double replication_cost =
-        static_cast<double>(remaining_) *
-        util::charge_cents(bot_.mean_cpu_seconds(), rate, period);
-    if (replication_cost > strategy_.budget_cents - total_cost_) return;
-    budget_fired_ = true;
-    for (workload::TaskId t = 0; t < tasks_.size(); ++t) {
-      auto& st = tasks_[t];
-      if (st.completed || st.reliable_used) continue;
-      if (st.queued == Queued::Reliable) continue;
-      if (st.queued == Queued::Unreliable) cancel_queued(t);
-      enqueue(t, Queued::Reliable);
-    }
-  }
-
-  /// Publish this run's aggregates to the global registry (no-op when it
-  /// is disabled). Deltas are plain members: per-event instrumentation cost
-  /// is a register increment.
   /// Obs label value of a pool: its name, falling back to the legacy
   /// role-based values for unnamed pools.
   std::string pool_label(std::size_t pool_index) const {
@@ -1077,7 +863,10 @@ class Run {
     return spec.role == env::PoolRole::Cloud ? "reliable" : "unreliable";
   }
 
-  void flush_metrics() {
+  /// Publish this run's aggregates to the global registry (no-op when it
+  /// is disabled). Deltas are plain members: per-event instrumentation cost
+  /// is a register increment.
+  void flush_metrics(double makespan) {
     if (!obs::Registry::global().enabled()) return;
     ExecutorObs& m = executor_obs();
     obs::Registry& reg = obs::Registry::global();
@@ -1085,7 +874,7 @@ class Run {
     m.down.inc(obs_down_);
     m.up.inc(obs_up_);
     m.truncated.inc(obs_truncated_);
-    m.makespan.observe(completion_time_);
+    m.makespan.observe(makespan);
     for (std::size_t pi = 0; pi < obs_pools_.size(); ++pi) {
       const PoolCounters& pc = obs_pools_[pi];
       const std::string label = pool_label(pi);
@@ -1165,29 +954,15 @@ class Run {
   std::vector<GridGroupRef> grid_groups_;
   /// Per-pool spot price path; empty for pools without spot dynamics.
   std::vector<std::vector<env::PricePoint>> spot_paths_;
-  std::vector<TaskState> tasks_;
-  std::deque<QueueEntry> ur_queue_;
-  std::deque<QueueEntry> r_queue_;
-  std::vector<InstanceRecord> records_;
-
-  PhaseRules throughput_rules_;
-  mutable PhaseRules tail_rules_;
-  mutable bool tail_rules_cached_ = false;
+  sim::ReplicationFlow<Run> flow_;
+  /// Consecutive reliable-pool launch failures per task (chaos faults).
+  std::vector<std::size_t> dispatch_attempts_;
 
   std::size_t unreliable_count_ = 0;
   std::size_t reliable_count_ = 0;
   std::size_t spare_count_ = 0;  ///< flash-crowd spares, excluded from l_ur
   std::size_t ur_cursor_ = 0;
   std::size_t r_cursor_ = 0;
-  double thr_deadline_ = 0.0;
-  std::size_t tail_trigger_ = 0;
-
-  std::size_t remaining_ = 0;
-  double total_cost_ = 0.0;
-  bool tail_started_ = false;
-  bool budget_fired_ = false;
-  double t_tail_ = 0.0;
-  double completion_time_ = 0.0;
 
   std::uint64_t obs_down_ = 0;
   std::uint64_t obs_up_ = 0;

@@ -225,6 +225,19 @@ TEST(Estimator, BudgetStrategyTriggersReplication) {
   EXPECT_TRUE(metrics.finished);
 }
 
+TEST(Estimator, BudgetWithoutReliableCapacityStillFinishes) {
+  // Mr = 0 leaves no reliable capacity: the budget trigger must not fire
+  // (firing would cancel every queued unreliable instance and strand those
+  // tasks until the horizon).
+  Estimator est(small_config(25), model(0.8));
+  auto strategy = make_static_strategy(StaticStrategyKind::Budget, kTurMean,
+                                       /*mr_max=*/0.0, /*budget=*/1e6);
+  const auto [metrics, trace] = est.simulate(60, strategy);
+  EXPECT_TRUE(metrics.finished);
+  EXPECT_LT(metrics.makespan, small_config().max_sim_time);
+  EXPECT_EQ(metrics.reliable_instances_sent, 0.0);
+}
+
 TEST(Estimator, CombinedPoolUsesReliableWhenSaturated) {
   Estimator est(small_config(5), model(0.9));
   auto strategy = make_static_strategy(StaticStrategyKind::CNInf, kTurMean,

@@ -170,6 +170,22 @@ TEST(Executor, BudgetStrategyStaysNearBudget) {
   EXPECT_LT(trace.total_cost_cents(), budget * 1.5);
 }
 
+TEST(Executor, BudgetWithoutReliableCapacityFinishesOnTheGrid) {
+  // Mr = 0 leaves no reliable machine to replicate onto: the budget
+  // trigger must not fire (firing would cancel every queued unreliable
+  // instance and strand those tasks until the horizon).
+  Executor ex(grid_plus_cluster(30, 0.8));
+  const auto bot = small_bot(80);
+  const auto trace = ex.run(
+      bot, make_static_strategy(StaticStrategyKind::Budget, 1000.0,
+                                /*mr_max=*/0.0, /*budget_cents=*/1e6));
+  EXPECT_FALSE(trace.truncated());
+  for (workload::TaskId t = 0; t < bot.size(); ++t) {
+    EXPECT_TRUE(trace.task_completion_time(t).has_value()) << "task " << t;
+  }
+  EXPECT_EQ(trace.reliable_instances_sent(), 0u);
+}
+
 TEST(Executor, CombinedPoolOverflowsToReliable) {
   // 5 unreliable machines, 40 tasks: CN-inf must spill work to reliable.
   ExecutorConfig cfg;

@@ -192,15 +192,16 @@ struct Snapshot {
 /// beyond the cap is *dropped*, never fatal: the returned handle is a
 /// no-op and the reserved `obs.series.dropped` counter in snapshots
 /// counts the dropped registrations. Labels remain for small closed
-/// dimensions (pool, shard, phase, tenant), never unbounded values.
+/// dimensions (pool, shard, span, tenant), never unbounded values.
 ///
 /// When disabled, every write is a single relaxed atomic load and a
 /// branch. Registration is allowed while disabled.
 class Registry {
  public:
   /// Default upper bound on label sets per metric name. Generous for
-  /// closed dimensions (16 cache shards, a handful of pools/phases) while
-  /// catching unbounded label values at the registration site.
+  /// closed dimensions (16 cache shards, a handful of pools, a few dozen
+  /// span names) while catching unbounded label values at the
+  /// registration site.
   static constexpr std::size_t kMaxSeriesPerName = 64;
   /// Series name under which snapshot() reports dropped registrations.
   /// Reserved: registering a metric with this name is undefined.

@@ -5,18 +5,35 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "expert/util/thread_safety.hpp"
 
 namespace expert::obs {
 
+class Histogram;
+class Registry;
 struct TraceBuffer;
 
-/// Collector of completed spans, serialized as Chrome trace format JSON
-/// (load the file in chrome://tracing or https://ui.perfetto.dev). Each
-/// thread appends to its own buffer; buffers outlive their threads.
-/// Disabled (the default), starting a span costs one relaxed atomic load.
+/// Self time of every span sharing one name, summed over all threads.
+/// Self time is a span's own time minus that of its direct children on
+/// the same thread, so the rows are disjoint and sum to the traced time.
+struct SpanTotals {
+  std::string name;
+  std::uint64_t entries = 0;
+  std::uint64_t self_wall_ns = 0;
+  std::uint64_t self_cpu_ns = 0;  ///< CLOCK_THREAD_CPUTIME_ID
+};
+
+/// Calling thread's CPU time in nanoseconds (CLOCK_THREAD_CPUTIME_ID).
+std::uint64_t thread_cpu_ns();
+
+/// Collector of completed spans, and the one timing record every view is
+/// folded from: the Chrome trace (chrome://tracing, ui.perfetto.dev), the
+/// self-time table and the obs.span.* gauges. Each thread appends to its
+/// own buffer; buffers outlive their threads. Disabled (the default),
+/// starting a span costs one relaxed atomic load.
 class Tracer {
  public:
   Tracer();
@@ -25,7 +42,8 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   /// Process-wide tracer used by EXPERT_SPAN. Starts disabled; the CLI's
-  /// --trace-out and the bench harness's EXPERT_TRACE_OUT enable it.
+  /// --trace-out and --profile and the bench harness's EXPERT_TRACE_OUT
+  /// enable it.
   static Tracer& global();
 
   bool enabled() const noexcept {
@@ -41,13 +59,24 @@ class Tracer {
   /// Record a completed span. `name` must outlive the tracer (string
   /// literals only — the pointer is stored, not the characters).
   void record(const char* name, std::uint64_t start_ns,
-              std::uint64_t duration_ns);
+              std::uint64_t duration_ns, std::uint64_t cpu_ns = 0);
 
   std::size_t event_count() const;
   /// Chrome trace format: {"traceEvents": [...]} of "ph":"X" complete
-  /// events; one tid per recording thread, so spans nest by containment.
+  /// events with the thread-CPU duration as "tdur"; one tid per recording
+  /// thread, so spans nest by containment.
   void write_chrome_trace(std::ostream& os) const;
   void reset();
+
+  /// Per-name self times, heaviest self wall time first (ties by name).
+  std::vector<SpanTotals> self_times() const;
+  /// Self-time table: one row per span name (entries, self wall, self
+  /// CPU) and a total row.
+  void write_self_time_table(std::ostream& os) const;
+  /// Publish self_times() into `registry` as gauges labeled {span=name}:
+  /// obs.span.entries, obs.span.self_seconds, obs.span.self_cpu_seconds.
+  /// Gauges (set, not add), so republishing is idempotent.
+  void publish(Registry& registry) const;
 
  private:
   TraceBuffer& local_buffer() const;
@@ -62,29 +91,38 @@ class Tracer {
 
 /// RAII scope timer. Captures the tracer's enabled state at construction:
 /// a span started while disabled records nothing even if tracing is
-/// enabled before it ends.
+/// enabled before it ends. Given a histogram, the span also observes its
+/// own wall duration (seconds) there when it closes, whether or not the
+/// tracer is on; pass nullptr to skip the clock reads when metrics are off.
 class Span {
  public:
-  explicit Span(const char* name) : Span(name, Tracer::global()) {}
-  Span(const char* name, Tracer& tracer) {
-    if (tracer.enabled()) {
-      tracer_ = &tracer;
-      name_ = name;
-      start_ns_ = tracer.now_ns();
-    }
+  explicit Span(const char* name, const Histogram* histogram = nullptr)
+      : Span(name, Tracer::global(), histogram) {}
+  Span(const char* name, Tracer& tracer, const Histogram* histogram = nullptr)
+      : tracer_(&tracer),
+        name_(name),
+        histogram_(histogram),
+        recording_(tracer.enabled()) {
+    // The CPU interval sits inside the wall interval, so self CPU never
+    // exceeds self wall by the cost of the clock reads.
+    if (recording_ || histogram_ != nullptr) start_ns_ = tracer.now_ns();
+    if (recording_) start_cpu_ns_ = thread_cpu_ns();
   }
   ~Span() {
-    if (tracer_ != nullptr) {
-      tracer_->record(name_, start_ns_, tracer_->now_ns() - start_ns_);
-    }
+    if (recording_ || histogram_ != nullptr) close();
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  Tracer* tracer_ = nullptr;
-  const char* name_ = nullptr;
+  void close() const;
+
+  Tracer* tracer_;
+  const char* name_;
+  const Histogram* histogram_;
+  bool recording_;
   std::uint64_t start_ns_ = 0;
+  std::uint64_t start_cpu_ns_ = 0;
 };
 
 }  // namespace expert::obs

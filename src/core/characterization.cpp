@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "expert/core/estimator.hpp"
+#include "expert/obs/tracing.hpp"
 #include "expert/strategies/static_strategies.hpp"
 #include "expert/util/assert.hpp"
 
@@ -244,6 +245,7 @@ CheckedCharacterization characterize_checked(
     const trace::ExecutionTrace& history,
     const CharacterizationOptions& options,
     const QualityThresholds& thresholds) {
+  EXPERT_SPAN("core.characterize");
   CheckedCharacterization out;
   out.quality = assess_quality(history, options, thresholds);
 

@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "expert/obs/metrics.hpp"
-#include "expert/obs/profile.hpp"
 #include "expert/obs/tracing.hpp"
 #include "expert/sim/replication.hpp"
 #include "expert/util/assert.hpp"
@@ -72,7 +71,6 @@ class Run {
   }
 
   std::pair<RunMetrics, trace::ExecutionTrace> execute() {
-    EXPERT_PHASE(ReplicationLoop);
     const double thr_deadline = cfg_.throughput_deadline > 0.0
                                     ? cfg_.throughput_deadline
                                     : 4.0 * model_.mean_successful_turnaround();
@@ -135,13 +133,7 @@ class Run {
       ++busy_ur_;
       ++unreliable_sent_;
       const double deadline = flow_.rules().deadline_d;
-      double draw;
-      {
-        // Nested inside the replication loop; the profiler charges draw
-        // time to TaskTimeDraw and suspends the loop's clock meanwhile.
-        EXPERT_PHASE(TaskTimeDraw);
-        draw = model_.sample(rng_, now);
-      }
+      const double draw = model_.sample(rng_, now);
       if (draw < deadline) {
         engine_.schedule_in(draw, [this, task, now, draw] {
           on_finish(task, PoolKind::Unreliable, now, draw, true);
@@ -289,7 +281,7 @@ std::pair<RunMetrics, trace::ExecutionTrace> Estimator::simulate(
 }
 
 EstimateResult aggregate_runs(std::vector<RunMetrics> runs) {
-  EXPERT_PHASE(Aggregation);
+  EXPERT_SPAN("estimator.aggregate");
   EXPERT_REQUIRE(!runs.empty(), "aggregate over zero runs");
   EstimateResult result;
   result.runs = std::move(runs);
@@ -316,12 +308,10 @@ EstimateResult aggregate_runs(std::vector<RunMetrics> runs) {
 EstimateResult Estimator::estimate(std::size_t task_count,
                                    const strategies::StrategyConfig& strategy,
                                    std::uint64_t stream) const {
-  EXPERT_SPAN("estimator.estimate");
   const bool observed = obs::Registry::global().enabled();
-  // Wall-clock via the obs tracer's monotonic origin: clock access is an
-  // obs/ concern (expert_lint ND003), and the value only feeds a metric.
-  const std::uint64_t wall_start =
-      observed ? obs::Tracer::global().now_ns() : 0;
+  // The span observes estimate_wall_seconds with its own duration.
+  const obs::Span span("estimator.estimate",
+                       observed ? &estimator_obs().estimate_wall : nullptr);
 
   std::vector<RunMetrics> runs;
   runs.reserve(config_.repetitions);
@@ -329,13 +319,7 @@ EstimateResult Estimator::estimate(std::size_t task_count,
     runs.push_back(simulate(task_count, strategy, stream, rep).first);
   }
 
-  if (observed) {
-    EstimatorObs& m = estimator_obs();
-    m.estimates.inc();
-    m.estimate_wall.observe(
-        static_cast<double>(obs::Tracer::global().now_ns() - wall_start) /
-        1e9);
-  }
+  if (observed) estimator_obs().estimates.inc();
   return aggregate_runs(std::move(runs));
 }
 

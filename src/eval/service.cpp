@@ -1,7 +1,6 @@
 #include "expert/eval/service.hpp"
 
 #include "expert/obs/metrics.hpp"
-#include "expert/obs/profile.hpp"
 #include "expert/obs/tracing.hpp"
 #include "expert/strategies/static_strategies.hpp"
 #include "expert/util/assert.hpp"
@@ -92,10 +91,11 @@ std::vector<EvalResult> EvalService::evaluate(
     const core::Estimator& estimator, std::size_t task_count,
     const std::vector<strategies::NTDMr>& candidates,
     const BatchOptions& options) {
-  EXPERT_SPAN("eval.batch");
   const bool observed = obs::Registry::global().enabled();
-  const std::uint64_t wall_start =
-      observed ? obs::Tracer::global().now_ns() : 0;
+  // The span observes eval.batch.wall_seconds with its own duration.
+  const obs::Histogram batch_wall =
+      observed ? eval_obs().batch_wall(options.consumer) : obs::Histogram{};
+  const obs::Span span("eval.batch", observed ? &batch_wall : nullptr);
 
   const std::size_t repetitions = options.repetitions > 0
                                       ? options.repetitions
@@ -107,7 +107,7 @@ std::vector<EvalResult> EvalService::evaluate(
   keys.reserve(candidates.size());
   std::vector<std::size_t> misses;
   {
-    EXPERT_PHASE(CacheLookup);
+    EXPERT_SPAN("eval.cache");
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       keys.push_back(make_eval_key(
           estimator.config(), estimator.model().digest(), candidates[i],
@@ -178,7 +178,7 @@ std::vector<EvalResult> EvalService::evaluate(
       out.stddev = est.stddev;
       out.from_cache = false;
       if (options.use_cache) {
-        EXPERT_PHASE(CacheLookup);
+        EXPERT_SPAN("eval.cache");
         cache_.insert(keys[i], CachedEval{out.point, out.stddev});
       }
     }
@@ -190,10 +190,6 @@ std::vector<EvalResult> EvalService::evaluate(
     EvalObs& m = eval_obs();
     m.batches.inc();
     m.candidates.inc(candidates.size());
-    m.batch_wall(options.consumer)
-        .observe(static_cast<double>(obs::Tracer::global().now_ns() -
-                                     wall_start) /
-                 1e9);
   }
   return results;
 }

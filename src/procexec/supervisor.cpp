@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "expert/obs/metrics.hpp"
+#include "expert/obs/tracing.hpp"
 #include "expert/procexec/codec.hpp"
 #include "expert/procexec/wire.hpp"
 #include "expert/util/assert.hpp"
@@ -433,6 +434,7 @@ void ProcessPool::shutdown() {
 trace::ExecutionTrace ProcessPool::run(
     const workload::Bot& bot, const strategies::StrategyConfig& strategy,
     std::uint64_t stream) {
+  EXPERT_SPAN("procexec.run");
   const std::size_t index = acquire_slot();
   try {
     trace::ExecutionTrace result = run_on_slot(index, bot, strategy, stream);

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "expert/obs/metrics.hpp"
+#include "expert/obs/tracing.hpp"
 #include "expert/resilience/serial.hpp"
 #include "expert/util/assert.hpp"
 #include "expert/util/eintr.hpp"
@@ -262,6 +263,7 @@ std::uint64_t CampaignJournal::bytes() const {
 }
 
 void CampaignJournal::record(const Campaign::BotRecord& record) {
+  EXPERT_SPAN("resilience.journal.record");
   {
     util::MutexLock lock(mutex_);
     append_line(record_payload(record));

@@ -308,6 +308,7 @@ void CampaignService::promote() {
 }
 
 bool CampaignService::step() {
+  EXPERT_SPAN("service.step");
   promote();
   if (active_.empty()) return !queue_.empty();
   ++stats_.rounds;

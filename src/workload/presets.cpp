@@ -1,5 +1,6 @@
 #include "expert/workload/presets.hpp"
 
+#include "expert/obs/tracing.hpp"
 #include "expert/stats/distributions.hpp"
 #include "expert/util/assert.hpp"
 
@@ -37,6 +38,7 @@ const WorkloadSpec& workload_spec(WorkloadId id) {
 Bot make_synthetic_bot(std::string name, std::size_t task_count,
                        double mean_cpu, double min_cpu, double max_cpu,
                        std::uint64_t seed) {
+  EXPERT_SPAN("workload.make_bot");
   EXPERT_REQUIRE(task_count > 0, "BoT must have at least one task");
   const auto dist =
       stats::TruncatedLognormal::from_stats(mean_cpu, min_cpu, max_cpu);

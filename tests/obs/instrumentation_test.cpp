@@ -1,17 +1,23 @@
 // End-to-end instrumentation coverage: with the global registry enabled,
 // one estimator sweep plus one machine-level gridsim execution must
 // populate metrics across the engine, estimator and gridsim layers — the
-// same guarantee the CLI's --metrics-out relies on.
+// same guarantee the CLI's --metrics-out relies on. And with the tracer on,
+// a journaled campaign's spans must account for its wall time.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <string_view>
 
+#include "expert/core/campaign.hpp"
 #include "expert/core/estimator.hpp"
+#include "expert/core/utility.hpp"
+#include "expert/gridsim/executor.hpp"
 #include "expert/gridsim/scenarios.hpp"
 #include "expert/obs/metrics.hpp"
 #include "expert/obs/tracing.hpp"
+#include "expert/resilience/journal.hpp"
 #include "expert/strategies/static_strategies.hpp"
 #include "expert/workload/presets.hpp"
 
@@ -111,6 +117,63 @@ TEST(Instrumentation, DisabledRegistryStaysEmpty) {
   for (const auto& c : reg.snapshot().counters) {
     EXPECT_EQ(c.value, 0u) << c.name;
   }
+}
+
+TEST(Instrumentation, CampaignChildSpansCoverTheRootWallTime) {
+  // Shaped like `expert_cli execute --experiment 11 --bots K --journal`:
+  // a bootstrap BoT, then planned BoTs, each generated, run on gridsim and
+  // journaled under one root span.
+  const gridsim::TableVExperiment* exp = nullptr;
+  for (const auto& row : gridsim::table_v_experiments()) {
+    if (row.number == 11) exp = &row;
+  }
+  ASSERT_NE(exp, nullptr);
+  const auto& wl = workload::workload_spec(exp->workload);
+  gridsim::Executor executor(gridsim::make_experiment_environment(*exp, 7));
+  const core::Campaign::Backend backend =
+      [&executor](const workload::Bot& bot,
+                  const strategies::StrategyConfig& strategy,
+                  std::uint64_t stream) {
+        return executor.run(bot, strategy, stream);
+      };
+  core::Campaign::Options options;
+  options.params.tur = wl.mean_cpu;
+  options.params.tr = wl.mean_cpu;
+  options.expert.repetitions = 3;
+  const std::string journal_path =
+      ::testing::TempDir() + "instrumentation_campaign.journal";
+  resilience::CampaignJournal journal(journal_path, options);
+  options.recorder = journal.recorder();
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.set_enabled(true);
+  tracer.reset();
+  const std::uint64_t start_ns = tracer.now_ns();
+  {
+    EXPERT_SPAN("test.campaign");
+    core::Campaign campaign(backend, options);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      campaign.run_bot(workload::make_bot(exp->workload, 0xB07 + i),
+                       core::Utility::min_cost_makespan_product());
+    }
+  }
+  const std::uint64_t wall_ns = tracer.now_ns() - start_ns;
+  tracer.set_enabled(false);
+
+  std::uint64_t root_self_ns = 0;
+  bool planned = false;
+  for (const obs::SpanTotals& row : tracer.self_times()) {
+    if (row.name == "test.campaign") root_self_ns = row.self_wall_ns;
+    if (row.name == "frontier.generate") planned = true;
+  }
+  tracer.reset();
+  std::remove(journal_path.c_str());
+
+  EXPECT_TRUE(planned) << "no BoT was planned from a frontier";
+  const double root_self_ms = static_cast<double>(root_self_ns) / 1e6;
+  const double wall_ms = static_cast<double>(wall_ns) / 1e6;
+  EXPECT_GE(1.0 - root_self_ms / wall_ms, 0.95)
+      << "root self time " << root_self_ms << " ms of " << wall_ms << " ms";
 }
 
 }  // namespace

@@ -17,9 +17,9 @@
 //
 //   expert_cli profile [--tasks N] [--pool L] [--gamma G] [--tur S]
 //       [--reps R]
-//     Run a synthetic frontier sweep with the phase profiler armed and
-//     print the per-phase wall-time table (task-time draws, replication
-//     loop, aggregation, cache lookups).
+//     Run a synthetic frontier sweep with the tracer on and print the
+//     self-time table: per span name, entries, self wall and self
+//     thread-CPU time.
 //
 //   expert_cli execute [--experiment K] [--reps R] [--mode online|offline]
 //       [--chaos PLAN] [--bots K] [--utility U] [--journal FILE] [--resume]
@@ -54,7 +54,7 @@
 //
 // Every command accepts --metrics-out=FILE and --trace-out=FILE to dump
 // the run's metrics snapshot (JSON) and Chrome-trace spans, and --profile
-// to print the phase-profiler table after the command finishes.
+// to print the span self-time table after the command finishes.
 
 #include <unistd.h>
 
@@ -84,7 +84,6 @@
 #include "expert/gridsim/env/environment.hpp"
 #include "expert/gridsim/scenarios.hpp"
 #include "expert/eval/service.hpp"
-#include "expert/obs/profile.hpp"
 #include "expert/obs/report.hpp"
 #include "expert/strategies/parser.hpp"
 #include "expert/trace/csv_io.hpp"
@@ -134,13 +133,13 @@ int usage() {
       "  worker       internal target of --backend process (wire protocol\n"
       "               on fd 3); never invoke by hand\n"
       "  profile      [--tasks N] [--pool L] [--gamma G] [--tur S] [--reps R]\n"
-      "               (frontier sweep with the phase profiler armed; prints\n"
-      "               per-phase wall time)\n"
+      "               (frontier sweep with the tracer on; prints the span\n"
+      "               self-time table: self wall and self CPU per span)\n"
       "global: --metrics-out FILE (metrics JSON), --trace-out FILE\n"
       "        (Chrome trace JSON for chrome://tracing / Perfetto)\n"
       "        --eval-cache N (strategy-evaluation cache capacity in\n"
       "        entries; 0 disables caching)\n"
-      "        --profile (print the phase-profiler table after the command)\n";
+      "        --profile (print the span self-time table after the command)\n";
   return 2;
 }
 
@@ -335,10 +334,11 @@ int cmd_simulate(const util::Args& args) {
   return 0;
 }
 
-/// Canned workload for the phase profiler: a full paper-style frontier
+/// Canned workload for the self-time table: a full paper-style frontier
 /// sweep over a synthetic pool model, routed through the shared eval
-/// service so every estimator hot phase — cache lookups, task-time draws,
-/// the replication loop and aggregation — shows up in the table.
+/// service so the frontier, eval batch, cache, estimator simulation and
+/// aggregation spans all show up. main() turns the tracer on and prints
+/// the table once this command's root span has closed.
 int cmd_profile(const util::Args& args) {
   EXPERT_SPAN("cli.profile");
   const double tur = args.number_or("tur", 2066.0);
@@ -355,10 +355,6 @@ int cmd_profile(const util::Args& args) {
   core::Estimator estimator(
       cfg, core::make_synthetic_model(tur, 0.15 * tur, 3.0 * tur, gamma));
 
-  obs::PhaseProfiler& profiler = obs::PhaseProfiler::global();
-  profiler.set_enabled(true);
-  profiler.reset();
-
   core::SamplingSpec spec;
   spec.max_deadline = params.throughput_deadline();
   core::FrontierOptions fopts;
@@ -369,7 +365,6 @@ int cmd_profile(const util::Args& args) {
             << " strategy evaluations (" << cfg.repetitions
             << " repetitions each, " << tasks << " tasks, pool " << pool
             << ")\n";
-  profiler.write_table(std::cout);
   return 0;
 }
 
@@ -1017,10 +1012,9 @@ int main(int argc, char** argv) {
 
     const auto metrics_out = args.option("metrics-out");
     const auto trace_out = args.option("trace-out");
-    const bool profile = args.has_flag("profile");
+    const bool profile = args.has_flag("profile") || *command == "profile";
     if (metrics_out) obs::Registry::global().set_enabled(true);
-    if (trace_out) obs::Tracer::global().set_enabled(true);
-    if (profile) obs::PhaseProfiler::global().set_enabled(true);
+    if (trace_out || profile) obs::Tracer::global().set_enabled(true);
     if (args.option("eval-cache")) {
       eval::EvalService::global().cache().set_capacity(
           static_cast<std::size_t>(args.number_or("eval-cache", 0.0)));
@@ -1039,17 +1033,14 @@ int main(int argc, char** argv) {
     else if (*command == "worker") rc = cmd_worker(args);
     else return usage();
 
-    // `profile` prints its own table; the global flag appends one to any
-    // other command's output.
-    if (profile && *command != "profile") {
-      std::cout << "\nphase profile:\n";
-      obs::PhaseProfiler::global().write_table(std::cout);
+    if (profile) {
+      std::cout << "\nself time by span:\n";
+      obs::Tracer::global().write_self_time_table(std::cout);
     }
     if (metrics_out) {
-      // Surface phase attribution in the metrics JSON whenever the
-      // profiler was armed this run (via `profile` or --profile).
-      if (obs::PhaseProfiler::global().enabled()) {
-        obs::PhaseProfiler::global().publish(obs::Registry::global());
+      // The obs.span.* gauges, whenever spans were recorded this run.
+      if (obs::Tracer::global().enabled()) {
+        obs::Tracer::global().publish(obs::Registry::global());
       }
       obs::write_metrics_file(*metrics_out);
     }

@@ -119,6 +119,10 @@ struct GoldenRow {
   const char* metrics;  ///< hexfloat RunMetrics; Estimator rows only
 };
 
+// gtest would otherwise print the row as raw bytes, pointers included, and
+// CTest would put those address-dependent bytes into the test's name.
+void PrintTo(const GoldenRow& row, std::ostream* out) { *out << row.name; }
+
 constexpr double kGoldenEstimatorMean = 1000.0;
 
 double golden_gridsim_tur() {
@@ -316,11 +320,8 @@ const GoldenRow kGoldenRows[] = {
      75546u, 0x838c758359ad380eULL, nullptr},
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    EnvGolden, EnvGoldenRows, ::testing::ValuesIn(kGoldenRows),
-    [](const ::testing::TestParamInfo<GoldenRow>& row_info) {
-      return std::string(row_info.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(EnvGolden, EnvGoldenRows,
+                         ::testing::ValuesIn(kGoldenRows));
 
 // ---------------------------------------------------------------------------
 // Spot-market dynamics.

@@ -21,10 +21,11 @@ int main() {
   using namespace expert;
 
   constexpr double kTur = 1200.0;
+  auto grid = gridsim::make_wm(60, /*gamma=*/0.65, kTur);
+  grid.groups[0].availability_cv = 1.6;
   gridsim::ExecutorConfig env;
-  env.unreliable = gridsim::make_wm(60, /*gamma=*/0.65, kTur);
-  env.unreliable.groups[0].availability_cv = 1.6;
-  env.reliable = gridsim::make_tech(10);
+  env.environment =
+      gridsim::env::Environment::classic(grid, gridsim::make_tech(10));
   env.exclusion_threshold = 1;  // aggressive culling drives a strong drift
   env.seed = 0xD81F7;
   gridsim::Executor executor(env);

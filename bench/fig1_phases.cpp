@@ -20,7 +20,8 @@ int main() {
   const auto bot = workload::make_bot(spec, 0x516);
 
   gridsim::ExecutorConfig cfg;
-  cfg.unreliable = gridsim::make_wm(201, /*gamma=*/0.942, spec.mean_cpu);
+  cfg.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(201, /*gamma=*/0.942, spec.mean_cpu));
   cfg.seed = 0xF16001;
   gridsim::Executor executor(cfg);
 

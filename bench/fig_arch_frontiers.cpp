@@ -58,7 +58,7 @@ int main() {
     params.n = 3;
     params.timeout_t = wl.timeout_t;
     params.deadline_d = wl.deadline_d;
-    params.mr = executor.environment().has_cloud() ? 0.4 : 0.0;
+    params.mr = executor.config().environment.has_cloud() ? 0.4 : 0.0;
     const auto real = executor.run(
         workload::make_bot(workload::WorkloadId::WL1, 0xB07ULL),
         strategies::make_ntdmr_strategy(params), /*stream=*/1);

@@ -243,7 +243,7 @@ void BM_ArchExecution(benchmark::State& state,
   p.n = 3;
   p.timeout_t = wl.timeout_t;
   p.deadline_d = wl.deadline_d;
-  p.mr = executor.environment().has_cloud() ? 0.4 : 0.0;
+  p.mr = executor.config().environment.has_cloud() ? 0.4 : 0.0;
   const auto strategy = strategies::make_ntdmr_strategy(p);
   const auto bot = workload::make_bot(workload::WorkloadId::WL1, 0xB07ULL);
   std::uint64_t stream = 0;

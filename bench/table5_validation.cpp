@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "expert/core/characterization.hpp"
 #include "expert/core/estimator.hpp"
 #include "expert/gridsim/scenarios.hpp"
 #include "expert/obs/report.hpp"
@@ -25,10 +24,6 @@ namespace {
 
 using namespace expert;
 
-std::size_t tail_tasks_of(const trace::ExecutionTrace& tr) {
-  return std::max<std::size_t>(1, tr.remaining_at(tr.t_tail()));
-}
-
 struct SimDeviation {
   double tms_dev;
   double cost_dev;
@@ -39,37 +34,11 @@ SimDeviation simulate_side(const trace::ExecutionTrace& real,
                            const workload::WorkloadSpec& wl,
                            const strategies::StrategyConfig& strategy,
                            core::ReliabilityMode mode) {
-  core::CharacterizationOptions copts;
-  copts.mode = mode;
-  copts.instance_deadline = wl.deadline_d;
-  copts.windows_per_epoch = 6;
-  const auto model = core::characterize(real, copts);
-
   core::EstimatorConfig cfg;
-  cfg.unreliable_size =
-      core::estimate_effective_size_iterative(real, model, wl.deadline_d);
-  // Table II: for real/simulated comparison, T_r is the mean CPU time over
-  // the real experiment's reliable instances (tail tasks are the slow ones,
-  // so this is noticeably larger than the workload mean).
-  const auto reliable_turnarounds =
-      real.successful_turnarounds(trace::PoolKind::Reliable);
-  double tr = wl.mean_cpu;
-  if (!reliable_turnarounds.empty()) {
-    tr = 0.0;
-    for (double t : reliable_turnarounds) tr += t;
-    tr /= static_cast<double>(reliable_turnarounds.size());
-  }
-  cfg.tr = tr;
-  cfg.cur_cents_per_s = 1.0 / 3600.0;
-  cfg.cr_cents_per_s = 34.0 / 3600.0;
   cfg.charging_period_r_s = exp.ec2_reliable() ? 3600.0 : 1.0;
-  cfg.throughput_deadline = wl.deadline_d;
-  cfg.repetitions = 10;
   cfg.seed = 0x7AB1E5 + static_cast<std::uint64_t>(exp.number);
-  cfg.tail_tasks_override = tail_tasks_of(real);
-
-  core::Estimator estimator(cfg, model);
-  const auto est = estimator.estimate(real.task_count(), strategy);
+  const auto est = std::get<core::EstimateResult>(
+      core::predict_execution(real, wl, strategy, mode, cfg));
   return {stats::relative_deviation(est.mean.tail_makespan,
                                     real.tail_makespan()),
           stats::relative_deviation(est.mean.cost_per_task_cents,

@@ -22,8 +22,9 @@ int main() {
   const auto spec = workload::workload_spec(workload::WorkloadId::WL1);
 
   gridsim::ExecutorConfig env;
-  env.unreliable = gridsim::make_wm(200, /*gamma=*/0.86, spec.mean_cpu);
-  env.reliable = gridsim::make_tech(20);
+  env.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(200, /*gamma=*/0.86, spec.mean_cpu),
+      gridsim::make_tech(20));
   env.seed = 0xB10;
   gridsim::Executor executor(env);
 

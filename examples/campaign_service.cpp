@@ -19,8 +19,8 @@ int main() {
   constexpr double kTur = 1600.0;
 
   gridsim::ExecutorConfig env;
-  env.unreliable = gridsim::make_wm(150, /*gamma=*/0.84, kTur);
-  env.reliable = gridsim::make_tech(15);
+  env.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(150, /*gamma=*/0.84, kTur), gridsim::make_tech(15));
   env.seed = 0x5E41CE;
 
   core::Campaign::Options options;

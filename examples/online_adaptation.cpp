@@ -22,8 +22,9 @@ int main() {
   const auto bot = workload::make_bot(spec, 0x0ADA);
 
   gridsim::ExecutorConfig env;
-  env.unreliable = gridsim::make_wm(200, /*gamma=*/0.82, spec.mean_cpu);
-  env.reliable = gridsim::make_tech(20);
+  env.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(200, /*gamma=*/0.82, spec.mean_cpu),
+      gridsim::make_tech(20));
   env.seed = 0x0ADA7;
   gridsim::Executor executor(env);
 

@@ -1,13 +1,16 @@
 #pragma once
 
 #include <cstdint>
+#include <variant>
 #include <vector>
 
+#include "expert/core/characterization.hpp"
 #include "expert/core/turnaround_model.hpp"
 #include "expert/core/user_params.hpp"
 #include "expert/strategies/static_strategies.hpp"
 #include "expert/trace/trace.hpp"
 #include "expert/workload/bot.hpp"
+#include "expert/workload/presets.hpp"
 
 namespace expert::core {
 
@@ -115,5 +118,19 @@ class Estimator {
   EstimatorConfig config_;
   TurnaroundModel model_;
 };
+
+/// Table II's "real vs simulated" recipe, shared by the Table V benchmark,
+/// its PaperClaims bound and `expert_cli execute`: characterize a real
+/// execution of a `wl` BoT in `mode`, then predict that same execution with
+/// an Estimator built on `base` (prices, billing, repetitions, seed,
+/// environment digest). The recipe sets the rest: l_ur is the iterative
+/// effective-size estimate, T_r the mean successful reliable turnaround
+/// (tail tasks are the slow ones, so it exceeds the workload mean), and the
+/// tail starts at the real run's tail-task count. Returns the reason
+/// instead when the trace cannot support a model.
+std::variant<EstimateResult, DegradationReason> predict_execution(
+    const trace::ExecutionTrace& real, const workload::WorkloadSpec& wl,
+    const strategies::StrategyConfig& strategy, ReliabilityMode mode,
+    EstimatorConfig base);
 
 }  // namespace expert::core

@@ -99,10 +99,9 @@ struct PoolSpec {
 };
 
 /// A named, content-digestable description of the resource mix a BoT runs
-/// on: N pools, each with a role and per-pool dynamics. The executor
-/// consumes exactly this; `ExecutorConfig`'s legacy
-/// {unreliable, optional reliable} pair is wrapped into the `classic()`
-/// environment when no explicit environment is given.
+/// on: N pools, each with a role and per-pool dynamics. This is the only
+/// pool description `ExecutorConfig` holds; `classic()` builds the paper's
+/// {unreliable, optional reliable} pair.
 class Environment {
  public:
   Environment() = default;
@@ -126,11 +125,13 @@ class Environment {
 
   void validate() const;
 
-  /// The pre-seam two-pool shape: `unreliable` as a static Grid pool plus
-  /// an optional static Cloud pool. Executions of a classic environment
-  /// are byte-identical to the pre-refactor executor for equal seeds.
-  static Environment classic(const PoolConfig& unreliable,
-                             const std::optional<PoolConfig>& reliable);
+  /// The paper's two-pool shape: `unreliable` as a static Grid pool plus
+  /// an optional static Cloud pool (absent for pure-grid, N = inf runs).
+  /// Executions of a classic environment are byte-identical to the
+  /// pre-seam two-pool executor for equal seeds.
+  static Environment classic(
+      const PoolConfig& unreliable,
+      const std::optional<PoolConfig>& reliable = std::nullopt);
 
  private:
   std::string name_;

@@ -16,15 +16,10 @@ namespace expert::gridsim {
 
 /// Configuration of a machine-level BoT execution.
 struct ExecutorConfig {
-  PoolConfig unreliable;
-  /// Reliable pool; absent for pure-grid (N = inf) experiments.
-  std::optional<PoolConfig> reliable;
-  /// Pluggable environment seam: when set, the executor runs against this
-  /// environment — N pools with roles and per-pool dynamics — and the
-  /// legacy {unreliable, reliable} pair above is ignored. When absent, the
-  /// pair is wrapped into env::Environment::classic(), which executes
-  /// byte-identically to the pre-seam two-pool code for equal seeds.
-  std::optional<env::Environment> environment;
+  /// The resource mix the BoT runs on: N pools with roles and per-pool
+  /// dynamics. `env::Environment::classic(unreliable, reliable)` builds the
+  /// paper's grid + cloud pair. An empty environment fails validate().
+  env::Environment environment;
   /// Deadline of throughput-phase instances; 0 resolves to 4x the BoT's
   /// mean task CPU time (the paper's default).
   double throughput_deadline = 0.0;
@@ -60,11 +55,6 @@ class Executor {
 
   const ExecutorConfig& config() const noexcept { return config_; }
 
-  /// The resolved environment every run executes against: the explicit
-  /// `config.environment` when given, else the classic wrap of the legacy
-  /// pool pair.
-  const env::Environment& environment() const noexcept { return env_; }
-
   /// Run the BoT to completion; deterministic in (config.seed, stream).
   trace::ExecutionTrace run(const workload::Bot& bot,
                             const strategies::StrategyConfig& strategy,
@@ -89,7 +79,6 @@ class Executor {
 
  private:
   ExecutorConfig config_;
-  env::Environment env_;
 };
 
 /// One send-time bucket of a trace's unreliable-pool reliability: of the

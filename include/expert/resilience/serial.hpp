@@ -22,8 +22,9 @@ std::string fmt_u64(std::uint64_t value);
 std::string fmt_hex16(std::uint64_t value);
 
 double parse_double(const std::string& text);
-/// Parses in the given base; throws util::ContractViolation on trailing
-/// garbage, overflow, or an empty field.
+/// Parses digits in the given base; throws util::ContractViolation on a
+/// sign, whitespace, a 0x prefix, trailing garbage, overflow, or an empty
+/// field.
 std::uint64_t parse_u64(const std::string& text, int base = 10);
 
 /// Percent-escape the separators the journal/wire grammar reserves

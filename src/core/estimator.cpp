@@ -344,4 +344,31 @@ EstimateResult Estimator::estimate(const workload::Bot& bot,
   return estimate(bot.size(), strategy, stream);
 }
 
+std::variant<EstimateResult, DegradationReason> predict_execution(
+    const trace::ExecutionTrace& real, const workload::WorkloadSpec& wl,
+    const strategies::StrategyConfig& strategy, ReliabilityMode mode,
+    EstimatorConfig base) {
+  CharacterizationOptions copts;
+  copts.mode = mode;
+  copts.instance_deadline = wl.deadline_d;
+  copts.windows_per_epoch = 6;
+  auto checked = characterize_checked(real, copts);
+  if (!checked.model) return *checked.degradation;
+
+  base.unreliable_size =
+      estimate_effective_size_iterative(real, *checked.model, wl.deadline_d);
+  const auto reliable = real.successful_turnarounds(trace::PoolKind::Reliable);
+  base.tr = wl.mean_cpu;
+  if (!reliable.empty()) {
+    base.tr = 0.0;
+    for (double t : reliable) base.tr += t;
+    base.tr /= static_cast<double>(reliable.size());
+  }
+  base.throughput_deadline = wl.deadline_d;
+  base.tail_tasks_override =
+      std::max<std::size_t>(1, real.remaining_at(real.t_tail()));
+  const Estimator estimator(base, std::move(*checked.model));
+  return estimator.estimate(real.task_count(), strategy);
+}
+
 }  // namespace expert::core

@@ -158,11 +158,11 @@ struct Machine {
 
 class Run {
  public:
-  Run(const ExecutorConfig& cfg, const env::Environment& env,
-      const workload::Bot& bot, StrategyConfig strategy, std::uint64_t stream,
+  Run(const ExecutorConfig& cfg, const workload::Bot& bot,
+      StrategyConfig strategy, std::uint64_t stream,
       const Executor::TailStrategySelector* selector = nullptr)
       : cfg_(cfg),
-        env_(env),
+        env_(cfg.environment),
         bot_(bot),
         strategy_(std::move(strategy)),
         selector_(selector),
@@ -974,12 +974,7 @@ class Run {
 }  // namespace
 
 void ExecutorConfig::validate() const {
-  if (environment) {
-    environment->validate();
-  } else {
-    unreliable.validate();
-    if (reliable) reliable->validate();
-  }
+  environment.validate();
   EXPERT_REQUIRE(max_sim_time > 0.0, "horizon must be positive");
   EXPERT_REQUIRE(throughput_deadline >= 0.0,
                  "throughput deadline must be non-negative");
@@ -988,9 +983,6 @@ void ExecutorConfig::validate() const {
 
 Executor::Executor(ExecutorConfig config) : config_(std::move(config)) {
   config_.validate();
-  env_ = config_.environment
-             ? *config_.environment
-             : env::Environment::classic(config_.unreliable, config_.reliable);
 }
 
 trace::ExecutionTrace Executor::run(const workload::Bot& bot,
@@ -998,7 +990,7 @@ trace::ExecutionTrace Executor::run(const workload::Bot& bot,
                                     std::uint64_t stream) const {
   EXPERT_SPAN("executor.run");
   strategy.validate();
-  Run run(config_, env_, bot, strategy, stream);
+  Run run(config_, bot, strategy, stream);
   return run.execute();
 }
 
@@ -1008,7 +1000,7 @@ trace::ExecutionTrace Executor::run_adaptive(
   EXPERT_SPAN("executor.run_adaptive");
   initial.validate();
   EXPERT_REQUIRE(selector != nullptr, "run_adaptive needs a selector");
-  Run run(config_, env_, bot, initial, stream, &selector);
+  Run run(config_, bot, initial, stream, &selector);
   return run.execute();
 }
 

@@ -43,37 +43,35 @@ const std::vector<TableVExperiment>& table_v_experiments() {
 ExecutorConfig make_experiment_environment(const TableVExperiment& exp,
                                            std::uint64_t seed) {
   const auto& wl = workload::workload_spec(exp.workload);
-  ExecutorConfig cfg;
+  PoolConfig unreliable;
   switch (exp.unreliable) {
     case UK::WM:
-      cfg.unreliable = make_wm(exp.unreliable_size, exp.gamma, wl.mean_cpu);
+      unreliable = make_wm(exp.unreliable_size, exp.gamma, wl.mean_cpu);
       break;
     case UK::OSG:
-      cfg.unreliable = make_osg(exp.unreliable_size, exp.gamma, wl.mean_cpu);
+      unreliable = make_osg(exp.unreliable_size, exp.gamma, wl.mean_cpu);
       break;
     case UK::OSGWM:
-      cfg.unreliable =
-          make_osg_wm(exp.unreliable_size, exp.gamma, wl.mean_cpu);
+      unreliable = make_osg_wm(exp.unreliable_size, exp.gamma, wl.mean_cpu);
       break;
   }
+  std::optional<PoolConfig> reliable;
   switch (exp.reliable) {
     case RK::None:
       break;
     case RK::Tech:
     case RK::TechCombined:
-      cfg.reliable = make_tech(20);
+      reliable = make_tech(20);
       break;
     case RK::EC2:
     case RK::EC2Combined:
-      cfg.reliable = make_ec2(20);
+      reliable = make_ec2(20);
       break;
   }
+  ExecutorConfig cfg;
+  cfg.environment = env::Environment::classic(unreliable, reliable);
   cfg.throughput_deadline = wl.deadline_d;
   cfg.seed = seed;
-  // Table V rows are classic two-pool environments, expressed explicitly
-  // on the environment seam (byte-identical to the legacy pair by
-  // construction; the golden refactor-guard test pins this).
-  cfg.environment = env::Environment::classic(cfg.unreliable, cfg.reliable);
   return cfg;
 }
 

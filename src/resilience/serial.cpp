@@ -1,8 +1,9 @@
 #include "expert/resilience/serial.hpp"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "expert/util/assert.hpp"
@@ -56,13 +57,13 @@ double parse_double(const std::string& text) {
 }
 
 std::uint64_t parse_u64(const std::string& text, int base) {
-  EXPERT_REQUIRE(!text.empty(), "serial: empty integer");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, base);
-  EXPERT_REQUIRE(errno == 0 && end == text.c_str() + text.size(),
+  // from_chars takes digits only: no sign, no whitespace, no 0x prefix.
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value, base);
+  EXPERT_REQUIRE(ec == std::errc() && ptr == end,
                  "serial: bad integer '" + text + "'");
-  return static_cast<std::uint64_t>(value);
+  return value;
 }
 
 std::string unescape(const std::string& text) {
@@ -134,9 +135,19 @@ std::string n_to_text(const std::optional<unsigned>& n) {
   return n.has_value() ? fmt_u64(*n) : "inf";
 }
 
+/// A field the encoder wrote from a `T` no larger than `max`: an integer
+/// type's maximum, or an enum's last enumerator.
+template <typename T>
+T parse_bounded(const std::string& text, T max) {
+  const std::uint64_t value = parse_u64(text);
+  EXPERT_REQUIRE(value <= static_cast<std::uint64_t>(max),
+                 "serial: field out of range '" + text + "'");
+  return static_cast<T>(value);
+}
+
 std::optional<unsigned> n_from_text(const std::string& text) {
   if (text == "inf") return std::nullopt;
-  return static_cast<unsigned>(parse_u64(text));
+  return parse_bounded(text, std::numeric_limits<unsigned>::max());
 }
 
 }  // namespace
@@ -156,8 +167,8 @@ strategies::StrategyConfig parse_strategy(const std::string& text) {
   strategies::StrategyConfig s;
   s.name = unescape(parts[0]);
   s.throughput =
-      static_cast<strategies::ThroughputPolicy>(parse_u64(parts[1]));
-  s.tail_mode = static_cast<strategies::TailMode>(parse_u64(parts[2]));
+      parse_bounded(parts[1], strategies::ThroughputPolicy::Combined);
+  s.tail_mode = parse_bounded(parts[2], strategies::TailMode::BudgetTriggered);
   s.ntdmr.n = n_from_text(parts[3]);
   s.ntdmr.timeout_t = parse_double(parts[4]);
   s.ntdmr.deadline_d = parse_double(parts[5]);
@@ -269,10 +280,10 @@ trace::ExecutionTrace parse_trace(const std::string& text) {
     EXPERT_REQUIRE(f.size() == 7, "serial: bad history record");
     trace::InstanceRecord r;
     r.task = static_cast<workload::TaskId>(parse_u64(f[0]));
-    r.pool = static_cast<trace::PoolKind>(parse_u64(f[1]));
+    r.pool = parse_bounded(f[1], trace::PoolKind::Reliable);
     r.send_time = parse_double(f[2]);
     r.turnaround = parse_double(f[3]);
-    r.outcome = static_cast<trace::InstanceOutcome>(parse_u64(f[4]));
+    r.outcome = parse_bounded(f[4], trace::InstanceOutcome::OutOfBid);
     r.cost_cents = parse_double(f[5]);
     r.tail_phase = parse_u64(f[6]) != 0;
     records.push_back(r);

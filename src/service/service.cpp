@@ -464,9 +464,10 @@ const std::vector<core::Campaign::BotReport>& CampaignService::reports(
 gridsim::ExecutorConfig gridsim_executor_config(
     const GridsimBackendOptions& options, const TenantSpec& spec) {
   gridsim::ExecutorConfig config;
-  config.unreliable = gridsim::make_wm(options.unreliable_machines,
-                                       options.gamma, spec.mean_cpu);
-  config.reliable = gridsim::make_tech(options.reliable_machines);
+  config.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(options.unreliable_machines, options.gamma,
+                       spec.mean_cpu),
+      gridsim::make_tech(options.reliable_machines));
   // Per-tenant executor seed: derived from the factory seed, the tenant
   // id, and the tenant seed, so no two tenants (and no two factory
   // configurations) share machine-level randomness.

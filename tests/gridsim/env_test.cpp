@@ -94,17 +94,6 @@ TEST(EnvGolden, ClassicExperiment11FrontierByteIdentical) {
             0x2ef993c7f501ebeaULL);
 }
 
-TEST(EnvGolden, LegacyPairEqualsExplicitClassicEnvironment) {
-  // The seam itself must be invisible: an ExecutorConfig carrying only the
-  // legacy {unreliable, reliable} pair and one carrying the equivalent
-  // explicit classic environment produce the same trace bytes.
-  const auto explicit_cfg =
-      make_experiment_environment(experiment11(), 0x601DULL);
-  auto legacy_cfg = explicit_cfg;
-  legacy_cfg.environment.reset();
-  EXPECT_EQ(run_csv(legacy_cfg), run_csv(explicit_cfg));
-}
-
 // ---------------------------------------------------------------------------
 // Golden replication-flow rows. The Estimator and gridsim run the same Fig. 3
 // instance flow; each row pins one (backend, strategy) pair byte for byte so

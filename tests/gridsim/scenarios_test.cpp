@@ -40,14 +40,12 @@ TEST(TableVScenarios, EnvironmentsValidateAndMatchSizes) {
   for (const auto& exp : table_v_experiments()) {
     const auto env = make_experiment_environment(exp, 1);
     EXPECT_NO_THROW(env.validate()) << "experiment " << exp.number;
-    EXPECT_EQ(env.unreliable.total_machines(), exp.unreliable_size)
+    EXPECT_EQ(env.environment.grid_machines(), exp.unreliable_size)
         << "experiment " << exp.number;
-    if (exp.reliable == TableVExperiment::ReliableKind::None) {
-      EXPECT_FALSE(env.reliable.has_value());
-    } else {
-      ASSERT_TRUE(env.reliable.has_value());
-      EXPECT_EQ(env.reliable->total_machines(), 20u);
-    }
+    const bool pure_grid =
+        exp.reliable == TableVExperiment::ReliableKind::None;
+    EXPECT_EQ(env.environment.cloud_machines(), pure_grid ? 0u : 20u)
+        << "experiment " << exp.number;
   }
 }
 
@@ -69,15 +67,13 @@ TEST(TableVScenarios, ExperimentElevenRunsEndToEnd) {
   // The Fig. 5-10 input scenario: WL1 on OSG with Tech reliable.
   const auto& exp = table_v_experiments()[10];
   ASSERT_EQ(exp.number, 11);
-  const auto env = make_experiment_environment(exp, 2);
+  auto cfg = make_experiment_environment(exp, 2);
   // Shrink for test speed: a fifth of the machines, a fifth of the tasks.
-  // The explicit environment is authoritative, so re-wrap the shrunken
-  // legacy pair instead of leaving a stale full-size environment behind.
-  auto small_env = env;
-  for (auto& g : small_env.unreliable.groups) g.count /= 5;
-  small_env.environment =
-      env::Environment::classic(small_env.unreliable, small_env.reliable);
-  Executor ex(small_env);
+  auto grid = cfg.environment.pools()[0].pool;
+  for (auto& g : grid.groups) g.count /= 5;
+  cfg.environment =
+      env::Environment::classic(grid, cfg.environment.pools()[1].pool);
+  Executor ex(cfg);
   const auto& wl = workload::workload_spec(exp.workload);
   const auto bot = workload::make_synthetic_bot(
       "exp11", wl.task_count / 5, wl.mean_cpu, wl.min_cpu, wl.max_cpu, 7);

@@ -23,8 +23,8 @@ constexpr double kMeanCpu = 1000.0;
 
 Campaign::Backend gridsim_backend() {
   gridsim::ExecutorConfig cfg;
-  cfg.unreliable = gridsim::make_wm(40, 0.82, kMeanCpu);
-  cfg.reliable = gridsim::make_tech(10);
+  cfg.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(40, 0.82, kMeanCpu), gridsim::make_tech(10));
   cfg.seed = 0xCA4416;
   return [cfg](const workload::Bot& bot,
                const strategies::StrategyConfig& strategy,

@@ -26,8 +26,8 @@ constexpr double kMeanCpu = 1000.0;
 gridsim::ExecutorConfig chaotic_config(std::uint64_t seed,
                                        const chaos::ChaosConfig& plan) {
   gridsim::ExecutorConfig cfg;
-  cfg.unreliable = gridsim::make_wm(40, 0.82, kMeanCpu);
-  cfg.reliable = gridsim::make_tech(10);
+  cfg.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(40, 0.82, kMeanCpu), gridsim::make_tech(10));
   cfg.seed = seed;
   cfg.chaos = plan;
   return cfg;

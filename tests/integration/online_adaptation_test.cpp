@@ -18,8 +18,8 @@ constexpr double kMeanCpu = 1000.0;
 
 gridsim::ExecutorConfig environment() {
   gridsim::ExecutorConfig cfg;
-  cfg.unreliable = gridsim::make_wm(40, 0.8, kMeanCpu);
-  cfg.reliable = gridsim::make_tech(10);
+  cfg.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(40, 0.8, kMeanCpu), gridsim::make_tech(10));
   cfg.seed = 0xADA97;
   return cfg;
 }

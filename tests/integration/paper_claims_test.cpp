@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+
 #include "expert/core/expert.hpp"
+#include "expert/gridsim/scenarios.hpp"
+#include "expert/stats/summary.hpp"
 
 namespace expert {
 namespace {
@@ -156,6 +161,51 @@ TEST_F(PaperClaims, Fig10_ReliableQueueAlmostNeverEmpty) {
   ASSERT_GT(reliable_users, 0u);
   EXPECT_GE(static_cast<double>(with_queue),
             0.8 * static_cast<double>(reliable_users));
+}
+
+// Table V: the Estimator, fed by the offline / online characterization of
+// each row's gridsim execution, must keep predicting that execution as
+// well as it does today (bench/table5_validation prints the same rows).
+// Measured means of |deviation|: TMS 19% / C 6% offline, 28% / 11%
+// online. Each bound is that mean plus a margin of 5 percentage points, so
+// a faster Estimator cannot quietly become a worse one.
+TEST_F(PaperClaims, TableV_MeanDeviationStaysNearMeasured) {
+  const core::ReliabilityMode modes[] = {core::ReliabilityMode::Offline,
+                                         core::ReliabilityMode::Online};
+  double tms[2] = {0.0, 0.0};
+  double cost[2] = {0.0, 0.0};
+  const auto& rows = gridsim::table_v_experiments();
+  for (const auto& exp : rows) {
+    const auto number = static_cast<std::uint64_t>(exp.number);
+    const auto& wl = workload::workload_spec(exp.workload);
+    const auto strategy = gridsim::make_experiment_strategy(exp);
+    const auto real =
+        gridsim::Executor(
+            gridsim::make_experiment_environment(exp, 0x7AB1E + number))
+            .run(workload::make_bot(exp.workload, 0xB07 + number), strategy);
+    for (std::size_t m = 0; m < 2; ++m) {
+      core::EstimatorConfig cfg;
+      cfg.charging_period_r_s = exp.ec2_reliable() ? 3600.0 : 1.0;
+      cfg.seed = 0x7AB1E5 + number;
+      const auto prediction =
+          core::predict_execution(real, wl, strategy, modes[m], cfg);
+      const auto* est = std::get_if<core::EstimateResult>(&prediction);
+      ASSERT_NE(est, nullptr) << "row " << exp.number;
+      tms[m] += std::abs(stats::relative_deviation(est->mean.tail_makespan,
+                                                   real.tail_makespan()));
+      cost[m] += std::abs(stats::relative_deviation(
+          est->mean.cost_per_task_cents, real.cost_per_task_cents()));
+    }
+  }
+  const double n = static_cast<double>(rows.size());
+  std::printf("Table V mean |deviation|: offline TMS %.4f C %.4f, "
+              "online TMS %.4f C %.4f\n",
+              tms[0] / n, cost[0] / n, tms[1] / n, cost[1] / n);
+  constexpr double kMargin = 0.05;
+  EXPECT_LE(tms[0] / n, 0.19 + kMargin);
+  EXPECT_LE(cost[0] / n, 0.06 + kMargin);
+  EXPECT_LE(tms[1] / n, 0.28 + kMargin);
+  EXPECT_LE(cost[1] / n, 0.11 + kMargin);
 }
 
 }  // namespace

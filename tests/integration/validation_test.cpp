@@ -32,8 +32,8 @@ struct Validation {
 Validation run_validation(double gamma, const strategies::StrategyConfig& s,
                           core::ReliabilityMode mode) {
   gridsim::ExecutorConfig cfg;
-  cfg.unreliable = gridsim::make_wm(40, gamma, kMeanCpu);
-  cfg.reliable = gridsim::make_tech(20);
+  cfg.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(40, gamma, kMeanCpu), gridsim::make_tech(20));
   cfg.seed = 8181;
   gridsim::Executor ex(cfg);
   const auto bot = workload::make_synthetic_bot("val-bot", 250, kMeanCpu,

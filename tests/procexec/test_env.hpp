@@ -15,8 +15,8 @@ namespace expert::procexec::testing {
 
 inline gridsim::ExecutorConfig make_test_env() {
   gridsim::ExecutorConfig cfg;
-  cfg.unreliable = gridsim::make_wm(30, 0.9, 1000.0);
-  cfg.reliable = gridsim::make_tech(5);
+  cfg.environment = gridsim::env::Environment::classic(
+      gridsim::make_wm(30, 0.9, 1000.0), gridsim::make_tech(5));
   cfg.seed = 4242;
   return cfg;
 }

@@ -46,11 +46,15 @@
 //     tenant budgets, tenant-targeted chaos, and crash-safe resume from
 //     --state-dir (see docs/service.md).
 //
-//   expert_cli worker [--experiment K] [--seed S] [--chaos PLAN]
+//   expert_cli worker [--experiment K] [--seed S] [--chaos PLAN] [--arch A]
+//   expert_cli worker --synthetic --tenant ID [--machines L] [--gamma G]
+//       [--reliable R] [--factory-seed S] [--mean-cpu S] [--tenant-seed S]
+//       [--chaos PLAN]
 //     Internal: the process the supervisor self-execs for --backend
 //     process. Speaks the procexec wire protocol on fd 3; not for
-//     interactive use. With --synthetic, rebuilds a serve tenant's
-//     environment instead of a Table V experiment's.
+//     interactive use. The first form rebuilds `execute`'s Table V
+//     executor; with --synthetic, it rebuilds a serve tenant's
+//     environment instead.
 //
 // Every command accepts --metrics-out=FILE and --trace-out=FILE to dump
 // the run's metrics snapshot (JSON) and Chrome-trace spans, and --profile
@@ -58,13 +62,13 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <csignal>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <utility>
+#include <variant>
 
 #include "expert/chaos/chaos.hpp"
 #include "expert/core/campaign.hpp"
@@ -213,10 +217,42 @@ int cmd_characterize(const util::Args& args) {
   return 0;
 }
 
-const gridsim::TableVExperiment* find_experiment(int number);
-std::uint64_t apply_architecture(const util::Args& args,
-                                 const gridsim::TableVExperiment& exp,
-                                 gridsim::ExecutorConfig& env);
+/// The Table V executor a command runs: the row named by --experiment,
+/// seeded 0x7AB1E + --seed + row, with the --chaos plan and the --arch
+/// reference environment applied. `frontier --arch`, `execute` and the
+/// process worker all build their executor here, which is what keeps the
+/// process backend byte-identical to the in-process one.
+struct TableVSetup {
+  const gridsim::TableVExperiment& exp;
+  std::uint64_t seed;  ///< --seed
+  gridsim::ExecutorConfig config;
+  /// Content digest of a non-classic --arch environment for the eval key;
+  /// 0 for classic, so every pre-seam key stays unchanged.
+  std::uint64_t env_digest;
+};
+
+TableVSetup table_v_setup(const util::Args& args) {
+  const int number = static_cast<int>(args.number_or("experiment", 11.0));
+  const auto& rows = gridsim::table_v_experiments();  // row k at index k-1
+  EXPERT_REQUIRE(number >= 1 && number <= static_cast<int>(rows.size()),
+                 "--experiment must name a Table V row (1..13)");
+  const auto& exp = rows[static_cast<std::size_t>(number - 1)];
+  const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 0.0));
+  auto config = gridsim::make_experiment_environment(
+      exp, 0x7AB1E + seed + static_cast<std::uint64_t>(number));
+  if (const auto plan = args.option("chaos"))
+    config.chaos = chaos::parse_chaos_plan(*plan);
+  std::uint64_t env_digest = 0;
+  const auto arch =
+      gridsim::env::parse_architecture(args.option_or("arch", "classic"));
+  if (arch != gridsim::env::Architecture::Classic) {
+    config.environment = gridsim::env::make_reference_environment(
+        arch, exp.unreliable_size, exp.gamma,
+        workload::workload_spec(exp.workload).mean_cpu);
+    env_digest = config.environment.digest();
+  }
+  return {exp, seed, std::move(config), env_digest};
+}
 
 int cmd_frontier(const util::Args& args) {
   EXPERT_SPAN("cli.frontier");
@@ -232,20 +268,16 @@ int cmd_frontier(const util::Args& args) {
     // environment, then characterize that trace exactly as a loaded one.
     EXPERT_REQUIRE(args.option("arch").has_value(),
                    "--trace is required (or pass --arch to synthesize one)");
-    const int number = static_cast<int>(args.number_or("experiment", 11.0));
-    const gridsim::TableVExperiment* exp = find_experiment(number);
-    EXPERT_REQUIRE(exp != nullptr,
-                   "--experiment must name a Table V row (1..13)");
-    const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 0.0));
-    auto env = gridsim::make_experiment_environment(
-        *exp, 0x7AB1E + seed + static_cast<std::uint64_t>(number));
-    options.environment_digest = apply_architecture(args, *exp, env);
-    gridsim::Executor executor(env);
+    auto setup = table_v_setup(args);
+    options.environment_digest = setup.env_digest;
+    const gridsim::Executor executor(std::move(setup.config));
     const auto bot = workload::make_bot(
-        exp->workload, 0xB07 + seed + static_cast<std::uint64_t>(number));
-    history = executor.run(bot, gridsim::make_experiment_strategy(*exp));
-    std::cerr << "synthesized history: " << executor.environment().name()
-              << ", " << history.records().size() << " records\n";
+        setup.exp.workload,
+        0xB07 + setup.seed + static_cast<std::uint64_t>(setup.exp.number));
+    history = executor.run(bot, gridsim::make_experiment_strategy(setup.exp));
+    std::cerr << "synthesized history: "
+              << executor.config().environment.name() << ", "
+              << history.records().size() << " records\n";
   }
   const auto expert =
       core::Expert::from_history(history, core::UserParams{}, options);
@@ -435,31 +467,6 @@ int cmd_report(const util::Args& args) {
   return 0;
 }
 
-/// Resolve --arch against an experiment's executor config. Classic (the
-/// default) leaves the Table V environment untouched, so existing
-/// invocations stay byte-identical; any other architecture swaps in the
-/// matching reference environment (same grid size and gamma calibration)
-/// and returns its content digest for the eval key.
-std::uint64_t apply_architecture(const util::Args& args,
-                                 const gridsim::TableVExperiment& exp,
-                                 gridsim::ExecutorConfig& env) {
-  const auto arch =
-      gridsim::env::parse_architecture(args.option_or("arch", "classic"));
-  if (arch == gridsim::env::Architecture::Classic) return 0;
-  const auto& wl = workload::workload_spec(exp.workload);
-  env.environment = gridsim::env::make_reference_environment(
-      arch, exp.unreliable_size, exp.gamma, wl.mean_cpu);
-  return env.environment->digest();
-}
-
-const gridsim::TableVExperiment* find_experiment(int number) {
-  const gridsim::TableVExperiment* exp = nullptr;
-  for (const auto& e : gridsim::table_v_experiments()) {
-    if (e.number == number) exp = &e;
-  }
-  return exp;
-}
-
 std::string self_exe_path() {
   char buf[4096];
   const ::ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
@@ -468,10 +475,10 @@ std::string self_exe_path() {
 }
 
 /// Internal subcommand the supervisor self-execs for --backend process.
-/// Rebuilds the exact executor environment the in-process backend would
-/// use (same experiment, same derived seed, same chaos plan) and serves
-/// (bot, strategy, stream) requests over the wire protocol on fd 3 —
-/// which is what makes the process backend byte-identical to gridsim.
+/// Rebuilds the exact executor the in-process backend uses, through the
+/// same table_v_setup (same experiment, seed, chaos plan and --arch), and
+/// serves (bot, strategy, stream) requests over the wire protocol on fd 3
+/// — which is what makes the process backend byte-identical to gridsim.
 /// With --synthetic, the worker instead rebuilds a `serve` tenant's
 /// synthetic environment via service::gridsim_executor_config — the same
 /// function the in-process gridsim backend factory uses, so the two
@@ -502,17 +509,7 @@ int cmd_worker(const util::Args& args) {
           return executor.run(bot, strategy, stream);
         });
   }
-  const int number = static_cast<int>(args.number_or("experiment", 11.0));
-  const gridsim::TableVExperiment* exp = find_experiment(number);
-  EXPERT_REQUIRE(exp != nullptr,
-                 "--experiment must name a Table V row (1..13)");
-  const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 0.0));
-  auto env = gridsim::make_experiment_environment(
-      *exp, 0x7AB1E + seed + static_cast<std::uint64_t>(number));
-  if (const auto plan = args.option("chaos"))
-    env.chaos = chaos::parse_chaos_plan(*plan);
-  apply_architecture(args, *exp, env);
-  gridsim::Executor executor(env);
+  const gridsim::Executor executor(table_v_setup(args).config);
   return procexec::worker_main(
       [&executor](const workload::Bot& bot,
                   const strategies::StrategyConfig& strategy,
@@ -658,11 +655,11 @@ int cmd_serve(const util::Args& args) {
 /// Campaign mode of `execute`: K BoTs through the full
 /// characterize -> recommend -> execute loop, with per-BoT outcome and
 /// degradation reporting — the chaos-facing face of the pipeline.
-int run_campaign(const util::Args& args, const gridsim::TableVExperiment& exp,
-                 const gridsim::ExecutorConfig& env, std::size_t bots,
-                 std::uint64_t seed, std::uint64_t env_digest) {
+int run_campaign(const util::Args& args, TableVSetup setup,
+                 std::size_t bots) {
+  const auto& exp = setup.exp;
   const auto& wl = workload::workload_spec(exp.workload);
-  gridsim::Executor executor(env);
+  const gridsim::Executor executor(std::move(setup.config));
 
   core::Campaign::Options copts;
   copts.params.tur = wl.mean_cpu;
@@ -671,7 +668,7 @@ int run_campaign(const util::Args& args, const gridsim::TableVExperiment& exp,
   copts.expert = expert_options(args);
   copts.expert.repetitions =
       static_cast<std::size_t>(args.number_or("reps", 5.0));
-  copts.expert.environment_digest = env_digest;
+  copts.expert.environment_digest = setup.env_digest;
   const auto utility = core::parse_utility(args.option_or("utility", "product"));
 
   const std::string backend_kind = args.option_or("backend", "gridsim");
@@ -684,14 +681,11 @@ int run_campaign(const util::Args& args, const gridsim::TableVExperiment& exp,
     popts.workers = static_cast<int>(args.number_or("workers", 1.0));
     popts.worker_program = self_exe_path();
     popts.worker_args = {"worker", "--experiment", std::to_string(exp.number),
-                         "--seed", std::to_string(seed)};
-    if (const auto plan = args.option("chaos")) {
-      popts.worker_args.push_back("--chaos");
-      popts.worker_args.push_back(*plan);
-    }
-    if (const auto arch = args.option("arch")) {
-      popts.worker_args.push_back("--arch");
-      popts.worker_args.push_back(*arch);
+                         "--seed", std::to_string(setup.seed)};
+    for (const std::string flag : {"chaos", "arch"}) {
+      if (const auto value = args.option(flag))
+        popts.worker_args.insert(popts.worker_args.end(),
+                                 {"--" + flag, *value});
     }
     pool = std::make_unique<procexec::ProcessPool>(std::move(popts));
     backend = pool->backend();
@@ -771,7 +765,7 @@ int run_campaign(const util::Args& args, const gridsim::TableVExperiment& exp,
     if (i < resumed) {
       report = &campaign->reports()[i];
     } else {
-      const auto bot = workload::make_bot(exp.workload, 0xB07 + seed + i);
+      const auto bot = workload::make_bot(exp.workload, 0xB07 + setup.seed + i);
       campaign->run_bot(bot, utility);
       report = &campaign->reports().back();
       if (kill_after > 0 && i + 1 == kill_after) std::raise(SIGKILL);
@@ -789,8 +783,8 @@ int run_campaign(const util::Args& args, const gridsim::TableVExperiment& exp,
          report->degradation ? core::to_string(*report->degradation) : "-"});
   }
   table.print(std::cout);
-  if (env.chaos && env.chaos->any())
-    std::cout << "chaos plan: " << env.chaos->to_string() << "\n";
+  if (const auto& plan = executor.config().chaos; plan && plan->any())
+    std::cout << "chaos plan: " << plan->to_string() << "\n";
   if (detector != nullptr && detector->trips() > 0)
     std::cout << "drift: " << detector->trips()
               << " trip(s); history re-characterized from post-drift "
@@ -816,81 +810,46 @@ int run_campaign(const util::Args& args, const gridsim::TableVExperiment& exp,
 
 int cmd_execute(const util::Args& args) {
   EXPERT_SPAN("cli.execute");
-  const int number = static_cast<int>(args.number_or("experiment", 11.0));
-  const gridsim::TableVExperiment* exp = find_experiment(number);
-  EXPERT_REQUIRE(exp != nullptr,
-                 "--experiment must name a Table V row (1..13)");
-  const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 0.0));
-
-  // Real side: machine-level execution of the experiment's strategy.
-  const auto& wl = workload::workload_spec(exp->workload);
-  auto env = gridsim::make_experiment_environment(
-      *exp, 0x7AB1E + seed + static_cast<std::uint64_t>(number));
-  if (const auto plan = args.option("chaos"))
-    env.chaos = chaos::parse_chaos_plan(*plan);
-  const std::uint64_t env_digest = apply_architecture(args, *exp, env);
-
+  auto setup = table_v_setup(args);
+  const auto& exp = setup.exp;
   const auto bots = static_cast<std::size_t>(args.number_or("bots", 1.0));
-  if (bots > 1) return run_campaign(args, *exp, env, bots, seed, env_digest);
+  if (bots > 1) return run_campaign(args, std::move(setup), bots);
   EXPERT_REQUIRE(args.option_or("backend", "gridsim") == "gridsim",
                  "--backend process needs a campaign (--bots > 1)");
+  const auto options = expert_options(args);
 
-  const auto bot = workload::make_bot(
-      exp->workload, 0xB07 + seed + static_cast<std::uint64_t>(number));
-  gridsim::Executor executor(env);
-  const auto strategy = gridsim::make_experiment_strategy(*exp);
+  // Real side: machine-level execution of the experiment's strategy.
+  const auto& wl = workload::workload_spec(exp.workload);
+  const auto number = static_cast<std::uint64_t>(exp.number);
+  const auto bot =
+      workload::make_bot(exp.workload, 0xB07 + setup.seed + number);
+  const gridsim::Executor executor(std::move(setup.config));
+  const auto strategy = gridsim::make_experiment_strategy(exp);
   const auto real = executor.run(bot, strategy);
   if (real.truncated())
     std::cout << "note: run truncated at the simulation horizon ("
-              << util::fmt(env.max_sim_time, 0) << " s)\n";
+              << util::fmt(executor.config().max_sim_time, 0) << " s)\n";
 
-  // Simulated side: characterize the real trace, then predict with the
-  // Estimator (same recipe as the Table V validation benchmark).
-  core::CharacterizationOptions copts;
-  const std::string mode = args.option_or("mode", "online");
-  EXPERT_REQUIRE(mode == "online" || mode == "offline",
-                 "--mode must be online or offline");
-  copts.mode = mode == "offline" ? core::ReliabilityMode::Offline
-                                 : core::ReliabilityMode::Online;
-  copts.instance_deadline = wl.deadline_d;
-  copts.windows_per_epoch = 6;
-  const auto checked = core::characterize_checked(real, copts);
-  if (!checked.model) {
+  // Simulated side: the Table V validation recipe on the real trace.
+  core::EstimatorConfig cfg;
+  cfg.charging_period_r_s = exp.ec2_reliable() ? 3600.0 : 1.0;
+  cfg.repetitions = options.repetitions;
+  cfg.seed = 0x7AB1E5 + setup.seed + number;
+  cfg.environment_digest = setup.env_digest;
+  const auto prediction = core::predict_execution(
+      real, wl, strategy, options.characterization.mode, cfg);
+  if (const auto* why = std::get_if<core::DegradationReason>(&prediction)) {
     std::cout << "prediction skipped — trace cannot support a model ("
-              << core::to_string(*checked.degradation) << ")\n";
+              << core::to_string(*why) << ")\n";
     return 0;
   }
-  const auto& model = *checked.model;
+  const auto& est = std::get<core::EstimateResult>(prediction);
 
-  core::EstimatorConfig cfg;
-  cfg.unreliable_size =
-      core::estimate_effective_size_iterative(real, model, wl.deadline_d);
-  const auto reliable_turnarounds =
-      real.successful_turnarounds(trace::PoolKind::Reliable);
-  double tr = wl.mean_cpu;
-  if (!reliable_turnarounds.empty()) {
-    tr = 0.0;
-    for (double t : reliable_turnarounds) tr += t;
-    tr /= static_cast<double>(reliable_turnarounds.size());
-  }
-  cfg.tr = tr;
-  cfg.cur_cents_per_s = 1.0 / 3600.0;
-  cfg.cr_cents_per_s = 34.0 / 3600.0;
-  cfg.charging_period_r_s = exp->ec2_reliable() ? 3600.0 : 1.0;
-  cfg.throughput_deadline = wl.deadline_d;
-  cfg.repetitions = static_cast<std::size_t>(args.number_or("reps", 10.0));
-  cfg.seed = 0x7AB1E5 + seed + static_cast<std::uint64_t>(number);
-  cfg.tail_tasks_override =
-      std::max<std::size_t>(1, real.remaining_at(real.t_tail()));
-  cfg.environment_digest = env_digest;
-
-  core::Estimator estimator(cfg, model);
-  const auto est = estimator.estimate(real.task_count(), strategy);
-
-  std::cout << "experiment " << number << ": " << wl.name << ", N="
-            << (exp->n ? std::to_string(*exp->n) : "inf") << ", pool "
-            << exp->unreliable_size << " unreliable machines\n";
-  util::Table table({"metric", "real (gridsim)", "predicted (" + mode + ")"});
+  std::cout << "experiment " << exp.number << ": " << wl.name << ", N="
+            << (exp.n ? std::to_string(*exp.n) : "inf") << ", pool "
+            << exp.unreliable_size << " unreliable machines\n";
+  util::Table table({"metric", "real (gridsim)",
+                     "predicted (" + args.option_or("mode", "online") + ")"});
   table.add_row({"average reliability",
                  util::fmt(real.average_reliability(), 3), "-"});
   table.add_row({"reliable instances",

@@ -20,12 +20,17 @@ namespace expert::eval {
 /// thread builds the key, or where the candidate sits in a batch.
 ///
 /// **Stream-derivation contract.** `stream()` is derived from the
-/// *simulation inputs only* (config minus repetitions, model digest,
-/// strategy, task count), never from repetitions, objectives, candidate
-/// index, or evaluation order. Consequences:
+/// *stream inputs only* — the estimator config minus repetitions, the model
+/// digest and the task count — never from the strategy, repetitions,
+/// objectives, candidate index, or evaluation order. The strategy moves the
+/// cache identity (`hi`/`lo`), not the stream. Consequences:
 ///
+///  * every candidate of a sweep shares one stream (common random
+///    numbers): repetition r draws the same throughput phase under every
+///    strategy, so a sweep need simulate it only once, and
+///    strategy-vs-strategy differences carry no stream-to-stream noise;
 ///  * results are byte-identical across thread counts and any candidate
-///    ordering — the stream travels with the strategy, not with the loop;
+///    ordering — the stream travels with the inputs, not with the loop;
 ///  * raising `repetitions` keeps the existing runs and appends new ones
 ///    (repetition r always draws the stream's r-th child seed);
 ///  * re-evaluating under a different objective reuses the same simulated
@@ -33,7 +38,7 @@ namespace expert::eval {
 struct EvalKey {
   std::uint64_t hi = 0;      ///< cache digest, upper half
   std::uint64_t lo = 0;      ///< cache digest, lower half
-  std::uint64_t sim = 0;     ///< simulation-input digest; the RNG stream
+  std::uint64_t sim = 0;     ///< stream-input digest; the RNG stream
   /// The turnaround-model digest this evaluation was keyed under. Not part
   /// of the cache identity (hi/lo already mix it via `sim`); carried so
   /// EvalCache::invalidate_model can drop every entry derived from a model

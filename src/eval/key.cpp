@@ -13,16 +13,16 @@ constexpr std::uint64_t kSimSalt = 0x51A7E57255EEDULL;
 constexpr std::uint64_t kHiSalt = 0xCAC4EB175ULL;
 constexpr std::uint64_t kLoSalt = 0xCAC4EB170ULL;
 
-/// Mix the *simulation inputs*: every EstimatorConfig field that changes a
-/// single run's trajectory, the model content, the strategy, and the BoT
-/// size. Deliberately excluded: `config.repetitions` (the key carries the
-/// effective count separately, and the stream must not move when a caller
-/// asks for more repetitions) and the objectives (pure post-processing).
-void mix_simulation_inputs(util::HashState& h,
-                           const core::EstimatorConfig& config,
-                           std::uint64_t model_digest,
-                           const strategies::NTDMr& params,
-                           std::size_t task_count) {
+/// Mix the *stream inputs*: every EstimatorConfig field that changes a
+/// single run's trajectory, the model content and the BoT size.
+/// Deliberately excluded: the NTDMr (every candidate of a sweep shares one
+/// stream, so repetition r draws the same throughput phase under every
+/// strategy — common random numbers), `config.repetitions` (the key carries
+/// the effective count separately, and the stream must not move when a
+/// caller asks for more repetitions) and the objectives (pure
+/// post-processing).
+void mix_stream_inputs(util::HashState& h, const core::EstimatorConfig& config,
+                       std::uint64_t model_digest, std::size_t task_count) {
   h.mix(static_cast<std::uint64_t>(config.unreliable_size))
       .mix(config.tr)
       .mix(config.cur_cents_per_s)
@@ -33,18 +33,11 @@ void mix_simulation_inputs(util::HashState& h,
       .mix(config.seed)
       .mix(static_cast<std::uint64_t>(config.tail_tasks_override))
       .mix(config.max_sim_time);
-  // The environment digest is mixed only when set: key.sim seeds the RNG
-  // streams, so an unconditional mix would shift every pre-seam stream and
-  // break replay of classic evaluations.
+  // The environment digest is mixed only when set (0 = the classic pair).
   if (config.environment_digest != 0) {
     h.mix(std::uint64_t{0xE41FD16E57ULL}).mix(config.environment_digest);
   }
   h.mix(model_digest);
-  h.mix(params.n.has_value())
-      .mix(static_cast<std::uint64_t>(params.n.value_or(0)))
-      .mix(params.timeout_t)
-      .mix(params.deadline_d)
-      .mix(params.mr);
   h.mix(static_cast<std::uint64_t>(task_count));
 }
 
@@ -59,17 +52,23 @@ EvalKey make_eval_key(const core::EstimatorConfig& config,
   EvalKey key;
 
   util::HashState sim(kSimSalt);
-  mix_simulation_inputs(sim, config, model_digest, params, task_count);
+  mix_stream_inputs(sim, config, model_digest, task_count);
   key.sim = sim.digest();
 
   // The cache identity covers everything that determines the aggregated
-  // result: the simulation inputs plus repetition count and objectives.
+  // result: the stream inputs plus the strategy, repetition count and
+  // objectives.
   // Two differently-salted halves give a 128-bit digest, making an
   // accidental collision (which would serve wrong metrics) negligible.
   util::HashState hi(kHiSalt);
   util::HashState lo(kLoSalt);
   for (util::HashState* h : {&hi, &lo}) {
     h->mix(key.sim)
+        .mix(params.n.has_value())
+        .mix(static_cast<std::uint64_t>(params.n.value_or(0)))
+        .mix(params.timeout_t)
+        .mix(params.deadline_d)
+        .mix(params.mr)
         .mix(static_cast<std::uint64_t>(repetitions))
         .mix(static_cast<std::uint64_t>(time_objective))
         .mix(static_cast<std::uint64_t>(cost_objective));

@@ -1,8 +1,8 @@
 // EvalKey contract tests: the cache identity covers everything that
 // determines an aggregated evaluation, while the RNG stream is derived
-// from the simulation inputs only (see key.hpp's stream-derivation
-// contract). These are the properties the frontier/evolution invariance
-// tests rely on, checked directly at the key level.
+// from the stream inputs only — never the strategy (see key.hpp's
+// stream-derivation contract). These are the properties the
+// frontier/evolution invariance tests rely on, checked at the key level.
 
 #include "expert/eval/key.hpp"
 
@@ -48,7 +48,7 @@ TEST(EvalKey, DeterministicAcrossCalls) {
   EXPECT_EQ(a.stream(), b.stream());
 }
 
-TEST(EvalKey, StrategyFieldsMoveTheStream) {
+TEST(EvalKey, StrategyFieldsMoveTheCacheKeyNotTheStream) {
   const EvalKey base = base_key();
   for (const auto& mutate :
        {+[](strategies::NTDMr& p) { p.n = 2; },
@@ -61,7 +61,9 @@ TEST(EvalKey, StrategyFieldsMoveTheStream) {
     const EvalKey k = make_eval_key(base_config(), kModelDigest, p, 60, 3,
                                     core::TimeObjective::TailMakespan,
                                     core::CostObjective::CostPerTask);
-    EXPECT_NE(k.sim, base.sim);
+    // Common random numbers: every strategy of a sweep draws one stream.
+    EXPECT_EQ(k.stream(), base.stream());
+    EXPECT_TRUE(k.hi != base.hi || k.lo != base.lo);
     EXPECT_FALSE(k == base);
   }
 }
@@ -77,7 +79,8 @@ TEST(EvalKey, NInfinityDistinctFromNZero) {
   const EvalKey b = make_eval_key(base_config(), kModelDigest, inf, 60, 3,
                                   core::TimeObjective::TailMakespan,
                                   core::CostObjective::CostPerTask);
-  EXPECT_NE(a.sim, b.sim);
+  EXPECT_TRUE(a.hi != b.hi || a.lo != b.lo);
+  EXPECT_EQ(a.stream(), b.stream());
 }
 
 TEST(EvalKey, ConfigAndWorkloadFieldsMoveTheStream) {

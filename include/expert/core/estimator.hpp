@@ -7,8 +7,10 @@
 #include "expert/core/characterization.hpp"
 #include "expert/core/turnaround_model.hpp"
 #include "expert/core/user_params.hpp"
+#include "expert/sim/replication.hpp"
 #include "expert/strategies/static_strategies.hpp"
 #include "expert/trace/trace.hpp"
+#include "expert/util/rng.hpp"
 #include "expert/workload/bot.hpp"
 #include "expert/workload/presets.hpp"
 
@@ -89,9 +91,41 @@ struct EstimateResult {
 /// a cached evaluation aggregates exactly like a direct estimate() call.
 EstimateResult aggregate_runs(std::vector<RunMetrics> runs);
 
+/// One Estimator repetition stopped at its tail start (paper Fig. 1), as
+/// plain data. Every strategy whose throughput phase is shared
+/// (Estimator::shares_throughput) runs the same throughput phase for a
+/// given (stream, repetition), so one snapshot serves all of them.
+struct ThroughputSnapshot {
+  /// An unreliable instance still out at the tail start: its finish event
+  /// fires at `time`; `seq` orders events filed at the same time.
+  struct PendingFinish {
+    double time = 0.0;
+    std::uint64_t seq = 0;
+    workload::TaskId task = 0;
+    double send_time = 0.0;
+    double turnaround = 0.0;  ///< infinity for a timeout
+    bool success = false;
+  };
+
+  /// False when the run ended before its tail was due (every task done, or
+  /// the horizon passed); `metrics` is then every strategy's result.
+  bool tail_due = false;
+  RunMetrics metrics;
+  sim::FlowSnapshot flow;
+  std::vector<PendingFinish> pending;  ///< in event order
+  util::Rng rng;
+  std::size_t unreliable_sent = 0;
+};
+
 /// The ExPERT Estimator: statistical queue-level simulation of a BoT under
 /// a scheduling strategy, using the pool model F(t,t') = Fs(t)*gamma(t').
 /// Deterministic in (config.seed, stream, repetition index).
+///
+/// A run is simulated in two parts: the throughput phase up to the tail
+/// start, then the strategy's tail from that state. For a strategy that
+/// shares the throughput phase, simulate() composes the two, and a sweep
+/// (eval::EvalService) runs the throughput phase once per repetition and
+/// every candidate's tail from it — with identical results.
 class Estimator {
  public:
   Estimator(EstimatorConfig config, TurnaroundModel model);
@@ -114,7 +148,27 @@ class Estimator {
       std::size_t task_count, const strategies::StrategyConfig& strategy,
       std::uint64_t stream = 0, std::size_t repetition = 0) const;
 
+  /// Whether `strategy`'s throughput phase is the shared one: the
+  /// unreliable pool only, and no budget trigger (which can fire before
+  /// the tail). Every NTDMr strategy shares it.
+  static bool shares_throughput(const strategies::StrategyConfig& strategy);
+
+  /// Repetition `repetition` of a `task_count`-task BoT, run up to its tail
+  /// start under the shared throughput phase. Keeps no trace records.
+  ThroughputSnapshot simulate_throughput(std::size_t task_count,
+                                         std::uint64_t stream,
+                                         std::size_t repetition) const;
+
+  /// Finish `snapshot`'s repetition under `strategy`, which must share the
+  /// throughput phase. Equal, field for field, to
+  /// `simulate(task_count, strategy, stream, repetition).first` for the
+  /// snapshot's inputs. Keeps no trace records.
+  RunMetrics simulate_tail(const ThroughputSnapshot& snapshot,
+                           const strategies::StrategyConfig& strategy) const;
+
  private:
+  util::Rng repetition_rng(std::uint64_t stream, std::size_t repetition) const;
+
   EstimatorConfig config_;
   TurnaroundModel model_;
 };

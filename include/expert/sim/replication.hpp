@@ -28,6 +28,40 @@ struct PhaseRules {
 /// The pool queue holding a task's one enqueued instance, if any.
 enum class Queued : std::uint8_t { None, Unreliable, Reliable };
 
+/// Per-task state of the replication flow.
+struct FlowTask {
+  bool completed = false;
+  bool reliable_used = false;  ///< the (N+1)-th instance was enqueued/sent
+  Queued queued = Queued::None;
+  std::uint64_t epoch = 0;  ///< bumps on enqueue/pop/cancel: stale guard
+  double enqueue_time = 0.0;
+  double last_send = -std::numeric_limits<double>::infinity();
+  unsigned tail_ur_enqueued = 0;
+  Engine::EventHandle check;
+};
+
+/// One pool-queue entry; stale once its task's epoch has moved on.
+struct FlowQueueEntry {
+  workload::TaskId task = 0;
+  std::uint64_t epoch = 0;
+};
+
+/// A flow stopped where its tail phase begins (ReplicationFlow::
+/// stop_at_tail), as plain data: what a flow for any tail strategy resumes
+/// from. No T check is pending, nothing is in the reliable queue, and
+/// `ur_queue` holds the live unreliable entries in FIFO order.
+struct FlowSnapshot {
+  std::vector<FlowTask> tasks;
+  std::vector<FlowQueueEntry> ur_queue;
+  PhaseRules throughput_rules;
+  std::size_t tail_trigger = 0;
+  std::size_t remaining = 0;
+  double total_cost = 0.0;
+  double t_tail = 0.0;
+  /// The tail was due in start(), before any task was enqueued.
+  bool at_start = false;
+};
+
 /// The task-instance flow of paper Fig. 3 — the NTDMr replication policy —
 /// over a discrete-event engine. The Estimator and the gridsim executor
 /// both run it, so the statistical model and the machine-level "real"
@@ -54,19 +88,18 @@ enum class Queued : std::uint8_t { None, Unreliable, Reliable };
 ///     the flow reads (online tail selection).
 ///
 /// Host event handlers call complete(), consider_enqueue() and dispatch().
+///
+/// A run can be split at its tail start (paper Fig. 1): with
+/// stop_at_tail(), the flow stops the engine where the tail would begin,
+/// before the tail rules apply, and snapshot() captures its state. A flow
+/// built from that snapshot under any strategy continues with
+/// resume_tail(), which runs the rest of the interrupted call chain. The
+/// split is exact only while the throughput phase does not read the
+/// strategy: an unreliable-only throughput policy and no budget trigger.
 template <typename Host>
 class ReplicationFlow {
  public:
-  struct TaskState {
-    bool completed = false;
-    bool reliable_used = false;  ///< the (N+1)-th instance was enqueued/sent
-    Queued queued = Queued::None;
-    std::uint64_t epoch = 0;  ///< bumps on enqueue/pop/cancel: stale guard
-    double enqueue_time = 0.0;
-    double last_send = -std::numeric_limits<double>::infinity();
-    unsigned tail_ur_enqueued = 0;
-    Engine::EventHandle check;
-  };
+  using TaskState = FlowTask;
 
   /// `strategy` is read through the reference for the whole run.
   ReplicationFlow(Host& host, Engine& engine,
@@ -77,6 +110,24 @@ class ReplicationFlow {
         strategy_(strategy),
         tasks_(task_count),
         remaining_(task_count) {}
+  /// A flow stopped at its tail start, as `snap` captured it; resume_tail()
+  /// must run at `snap.t_tail` before any pending event does.
+  ReplicationFlow(Host& host, Engine& engine,
+                  const strategies::StrategyConfig& strategy,
+                  const FlowSnapshot& snap)
+      : host_(host),
+        engine_(engine),
+        strategy_(strategy),
+        tasks_(snap.tasks),
+        ur_queue_(snap.ur_queue.begin(), snap.ur_queue.end()),
+        throughput_rules_(snap.throughput_rules),
+        tail_trigger_(snap.tail_trigger),
+        remaining_(snap.remaining),
+        total_cost_(snap.total_cost),
+        stopped_at_tail_(true),
+        stopped_at_start_(snap.at_start),
+        t_tail_(snap.t_tail),
+        tail_tasks_(snap.remaining) {}
   // Engine callbacks capture `this`.
   ReplicationFlow(const ReplicationFlow&) = delete;
   ReplicationFlow& operator=(const ReplicationFlow&) = delete;
@@ -89,7 +140,55 @@ class ReplicationFlow {
         PhaseRules{std::nullopt, throughput_deadline, throughput_deadline};
     tail_trigger_ = tail_trigger;
     maybe_start_tail();
+    if (stopped_at_tail_) {
+      stopped_at_start_ = true;
+      return;
+    }
     for (workload::TaskId t = 0; t < tasks_.size(); ++t) consider_enqueue(t);
+    dispatch();
+  }
+
+  /// Stop where the tail phase would begin instead of beginning it.
+  void stop_at_tail() { stop_at_tail_ = true; }
+  /// Whether the flow stopped at its tail start and awaits resume_tail().
+  bool stopped_at_tail() const { return stopped_at_tail_; }
+
+  /// The state of a flow stopped at its tail start.
+  FlowSnapshot snapshot() const {
+    EXPERT_CHECK(stopped_at_tail_, "snapshot of a flow not at its tail");
+    EXPERT_CHECK(live_r_queue_ == 0 && max_r_queue_ == 0 && !budget_fired_,
+                 "the throughput phase used the reliable pool");
+    FlowSnapshot snap;
+    snap.tasks = tasks_;
+    for (TaskState& st : snap.tasks) {
+      EXPERT_CHECK(!st.check.pending(), "T check pending at the tail start");
+      st.check = Engine::EventHandle{};
+    }
+    for (const QueueEntry& e : ur_queue_) {
+      if (live(e, Queued::Unreliable)) snap.ur_queue.push_back(e);
+    }
+    snap.throughput_rules = throughput_rules_;
+    snap.tail_trigger = tail_trigger_;
+    snap.remaining = remaining_;
+    snap.total_cost = total_cost_;
+    snap.t_tail = t_tail_;
+    snap.at_start = stopped_at_start_;
+    return snap;
+  }
+
+  /// Begin the tail under this flow's strategy and finish the call chain
+  /// the stop interrupted: start()'s enqueue loop, or complete()'s budget
+  /// check; then dispatch.
+  void resume_tail() {
+    EXPERT_CHECK(stopped_at_tail_, "resume of a flow not at its tail");
+    stopped_at_tail_ = false;
+    stop_at_tail_ = false;
+    begin_tail();
+    if (stopped_at_start_) {
+      for (workload::TaskId t = 0; t < tasks_.size(); ++t) consider_enqueue(t);
+    } else {
+      check_budget_trigger();
+    }
     dispatch();
   }
 
@@ -162,8 +261,10 @@ class ReplicationFlow {
   }
 
   /// Fill idle unreliable slots from the unreliable queue, then idle
-  /// reliable slots (within the Mr cap) from the reliable queue.
+  /// reliable slots (within the Mr cap) from the reliable queue. A flow
+  /// stopped at its tail start sends nothing.
   void dispatch() {
+    if (stopped_at_tail_) return;
     while (const auto slot = host_.idle_slot(trace::PoolKind::Unreliable)) {
       const auto task = pop_valid(Queued::Unreliable);
       if (!task) break;
@@ -206,13 +307,17 @@ class ReplicationFlow {
       engine_.stop();
     } else {
       maybe_start_tail();
-      check_budget_trigger();
+      if (!stopped_at_tail_) check_budget_trigger();
     }
     return true;
   }
 
   void add_cost(double cents) { total_cost_ += cents; }
-  void record(const trace::InstanceRecord& r) { records_.push_back(r); }
+  /// Whether record() and cancellations keep trace records (default on).
+  void keep_records(bool keep) { keep_records_ = keep; }
+  void record(const trace::InstanceRecord& r) {
+    if (keep_records_) records_.push_back(r);
+  }
   /// Whether an instance sent at `send_time` counts as a tail instance.
   bool in_tail(double send_time) const {
     return tail_started_ && send_time >= t_tail_;
@@ -234,10 +339,13 @@ class ReplicationFlow {
   }
 
  private:
-  struct QueueEntry {
-    workload::TaskId task = 0;
-    std::uint64_t epoch = 0;
-  };
+  using QueueEntry = FlowQueueEntry;
+
+  /// Whether `e` is still its task's current entry in `pool`'s queue.
+  bool live(const QueueEntry& e, Queued pool) const {
+    const TaskState& st = tasks_[e.task];
+    return st.queued == pool && st.epoch == e.epoch && !st.completed;
+  }
 
   /// Withdraw the task's queued instance, recording it as Cancelled.
   void cancel_queued(workload::TaskId task) {
@@ -249,7 +357,7 @@ class ReplicationFlow {
       --live_r_queue_;
       pool = trace::PoolKind::Reliable;
     }
-    records_.push_back(trace::InstanceRecord{
+    record(trace::InstanceRecord{
         task, pool, st.enqueue_time, trace::kNeverReturns,
         trace::InstanceOutcome::Cancelled, 0.0, in_tail(st.enqueue_time)});
     st.queued = Queued::None;
@@ -263,8 +371,8 @@ class ReplicationFlow {
     while (!queue.empty()) {
       const QueueEntry e = queue.front();
       queue.pop_front();
+      if (!live(e, pool)) continue;
       auto& st = tasks_[e.task];
-      if (st.queued != pool || st.epoch != e.epoch || st.completed) continue;
       if (pool == Queued::Reliable) {
         EXPERT_CHECK(live_r_queue_ > 0, "reliable queue underflow");
         --live_r_queue_;
@@ -277,10 +385,21 @@ class ReplicationFlow {
   }
 
   void maybe_start_tail() {
-    if (tail_started_ || remaining_ > tail_trigger_) return;
-    tail_started_ = true;
+    if (tail_started_ || stopped_at_tail_ || remaining_ > tail_trigger_) {
+      return;
+    }
     t_tail_ = engine_.now();
     tail_tasks_ = remaining_;
+    if (stop_at_tail_) {
+      stopped_at_tail_ = true;
+      engine_.stop();
+      return;
+    }
+    begin_tail();
+  }
+
+  void begin_tail() {
+    tail_started_ = true;
     host_.on_tail_start();
     tail_rules_ = throughput_rules_;
     if (strategy_.tail_mode == strategies::TailMode::NTDMrTail) {
@@ -335,6 +454,10 @@ class ReplicationFlow {
   std::size_t live_r_queue_ = 0;
   std::size_t max_r_queue_ = 0;
   double total_cost_ = 0.0;
+  bool keep_records_ = true;
+  bool stop_at_tail_ = false;
+  bool stopped_at_tail_ = false;
+  bool stopped_at_start_ = false;
   bool tail_started_ = false;
   bool budget_fired_ = false;
   double t_tail_ = 0.0;

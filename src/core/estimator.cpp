@@ -42,43 +42,131 @@ using trace::PoolKind;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// One simulated BoT execution (one Estimator repetition): the shared
-/// Fig. 3 instance flow, with every instance resolved by a statistical draw
-/// from the turnaround model (unreliable) or a fixed T_r (reliable).
+/// Reliable slots for `strategy` (ceil(Mr * l_ur)), once the strategy is
+/// known to fit this configuration.
+std::size_t reliable_slots(const EstimatorConfig& cfg,
+                           const StrategyConfig& strategy) {
+  const auto l_r = static_cast<std::size_t>(std::ceil(
+      strategy.ntdmr.mr * static_cast<double>(cfg.unreliable_size)));
+  if (strategy.throughput == ThroughputPolicy::ReliableOnly) {
+    EXPERT_REQUIRE(l_r > 0,
+                   "ReliableOnly strategy needs a non-empty reliable pool");
+  }
+  if ((strategy.tail_mode == TailMode::NTDMrTail ||
+       strategy.tail_mode == TailMode::ReplicateAllReliable) &&
+      strategy.ntdmr.n.has_value()) {
+    // A finite N relies on the guaranteed (N+1)-th reliable instance; users
+    // without reliable capacity are restricted to N = inf (paper §III).
+    EXPERT_REQUIRE(l_r > 0, "finite-N strategy needs reliable capacity");
+  }
+  return l_r;
+}
+
+/// The strategy a shared throughput phase runs under. Before its tail the
+/// flow reads only the throughput policy and, for the budget trigger, the
+/// tail mode; every strategy that shares the phase agrees with this one on
+/// both.
+const StrategyConfig& shared_throughput_strategy() {
+  static const StrategyConfig strategy = [] {
+    StrategyConfig s;
+    s.name = "throughput";
+    s.throughput = ThroughputPolicy::UnreliableOnly;
+    s.tail_mode = TailMode::Continue;
+    return s;
+  }();
+  return strategy;
+}
+
+/// One simulated BoT execution (one Estimator repetition), or the part of
+/// one before or after its tail start: the shared Fig. 3 instance flow,
+/// with every instance resolved by a statistical draw from the turnaround
+/// model (unreliable) or a fixed T_r (reliable).
 class Run {
  public:
+  using PendingFinish = ThroughputSnapshot::PendingFinish;
+
+  /// A run from the start; start() begins it.
   Run(const EstimatorConfig& cfg, const TurnaroundModel& model,
-      std::size_t task_count, const StrategyConfig& strategy, util::Rng rng)
+      const StrategyConfig& strategy, util::Rng rng, std::size_t task_count)
       : cfg_(cfg),
         model_(model),
         rng_(rng),
-        flow_(*this, engine_, strategy, task_count) {
-    l_ur_ = cfg_.unreliable_size;
-    l_r_ = static_cast<std::size_t>(
-        std::ceil(strategy.ntdmr.mr * static_cast<double>(l_ur_)));
-    if (strategy.throughput == ThroughputPolicy::ReliableOnly) {
-      EXPERT_REQUIRE(l_r_ > 0,
-                     "ReliableOnly strategy needs a non-empty reliable pool");
-    }
-    if ((strategy.tail_mode == TailMode::NTDMrTail ||
-         strategy.tail_mode == TailMode::ReplicateAllReliable) &&
-        strategy.ntdmr.n.has_value()) {
-      // A finite N relies on the guaranteed (N+1)-th reliable instance;
-      // users without reliable capacity are restricted to N = inf
-      // (paper §III).
-      EXPERT_REQUIRE(l_r_ > 0, "finite-N strategy needs reliable capacity");
+        l_ur_(cfg.unreliable_size),
+        l_r_(reliable_slots(cfg, strategy)),
+        flow_(*this, engine_, strategy, task_count) {}
+
+  /// `snap`'s run resumed at its tail start under `strategy`. The rest of
+  /// the call chain the stop interrupted fires first, at t_tail, and the
+  /// pending finishes follow in their original order, so every event keeps
+  /// its (time, insertion) order relative to the others.
+  Run(const EstimatorConfig& cfg, const TurnaroundModel& model,
+      const StrategyConfig& strategy, const ThroughputSnapshot& snap)
+      : cfg_(cfg),
+        model_(model),
+        rng_(snap.rng),
+        l_ur_(cfg.unreliable_size),
+        l_r_(reliable_slots(cfg, strategy)),
+        flow_(*this, engine_, strategy, snap.flow),
+        busy_ur_(snap.pending.size()),
+        unreliable_sent_(snap.unreliable_sent) {
+    engine_.schedule_at(snap.flow.t_tail, [this] { flow_.resume_tail(); });
+    for (const PendingFinish& p : snap.pending) {
+      engine_.schedule_at(p.time, [this, task = p.task, sent = p.send_time,
+                                   turnaround = p.turnaround,
+                                   success = p.success] {
+        on_finish(task, PoolKind::Unreliable, sent, turnaround, success);
+      });
     }
   }
 
-  std::pair<RunMetrics, trace::ExecutionTrace> execute() {
+  void keep_records(bool keep) { flow_.keep_records(keep); }
+
+  /// Stop at the tail start (see snapshot()) instead of running the tail.
+  void stop_at_tail() {
+    flow_.stop_at_tail();
+    out_.resize(flow_.task_count());
+  }
+
+  void start() {
     const double thr_deadline = cfg_.throughput_deadline > 0.0
                                     ? cfg_.throughput_deadline
                                     : 4.0 * model_.mean_successful_turnaround();
     flow_.start(thr_deadline, cfg_.tail_tasks_override > 0
                                   ? cfg_.tail_tasks_override
                                   : (l_ur_ > 0 ? l_ur_ - 1 : 0));
-    engine_.run_until(cfg_.max_sim_time);
+  }
 
+  /// Run until the BoT completes or the horizon passes, or — after
+  /// stop_at_tail() — until the tail is due.
+  void run() { engine_.run_until(cfg_.max_sim_time); }
+
+  /// Where a stop_at_tail() run ended: the state at its tail start, or the
+  /// final metrics when it ended before the tail was due.
+  ThroughputSnapshot snapshot() const {
+    ThroughputSnapshot snap;
+    snap.tail_due = flow_.stopped_at_tail();
+    if (!snap.tail_due) {
+      snap.metrics = metrics();
+      return snap;
+    }
+    EXPERT_CHECK(busy_r_ == 0 && reliable_sent_ == 0 && duplicates_ == 0,
+                 "the throughput phase used the reliable pool");
+    snap.flow = flow_.snapshot();
+    for (const PendingFinish& p : out_) {
+      if (p.seq != 0) snap.pending.push_back(p);
+    }
+    std::sort(snap.pending.begin(), snap.pending.end(),
+              [](const PendingFinish& a, const PendingFinish& b) {
+                return a.seq < b.seq;
+              });
+    EXPERT_CHECK(snap.pending.size() == busy_ur_,
+                 "unreliable busy count disagrees with pending finishes");
+    snap.rng = rng_;
+    snap.unreliable_sent = unreliable_sent_;
+    return snap;
+  }
+
+  RunMetrics metrics() const {
     const auto tasks = static_cast<double>(flow_.task_count());
     const auto tail_tasks = static_cast<double>(flow_.tail_tasks());
     RunMetrics m;
@@ -100,11 +188,10 @@ class Run {
     m.max_reliable_queue = static_cast<double>(flow_.max_reliable_queue());
     m.max_reliable_queue_fraction =
         tail_tasks > 0.0 ? m.max_reliable_queue / tail_tasks : 0.0;
-
-    trace::ExecutionTrace tr(flow_.task_count(), flow_.take_records(),
-                             m.t_tail, m.makespan);
-    return {m, std::move(tr)};
+    return m;
   }
+
+  std::vector<InstanceRecord> take_records() { return flow_.take_records(); }
 
  private:
   friend class sim::ReplicationFlow<Run>;
@@ -137,16 +224,18 @@ class Run {
       ++unreliable_sent_;
       const double deadline = flow_.rules().deadline_d;
       const double draw = model_.sample(rng_, now);
-      if (draw < deadline) {
-        out = draw;
-        engine_.schedule_in(draw, [this, task, now, draw] {
-          on_finish(task, PoolKind::Unreliable, now, draw, true);
-        });
-      } else {
-        out = deadline;
-        engine_.schedule_in(deadline, [this, task, now] {
-          on_finish(task, PoolKind::Unreliable, now, kInf, false);
-        });
+      const bool success = draw < deadline;
+      out = success ? draw : deadline;
+      const double turnaround = success ? draw : kInf;
+      engine_.schedule_in(out, [this, task, now, turnaround, success] {
+        on_finish(task, PoolKind::Unreliable, now, turnaround, success);
+      });
+      if (!out_.empty()) {
+        // Throughput phase of a split run: remember the finish, in filing
+        // order, in case it is still pending at the tail start.
+        EXPERT_CHECK(out_[task].seq == 0, "two unreliable instances out");
+        out_[task] = PendingFinish{now + out, ++out_seq_, task, now,
+                                   turnaround, success};
       }
     } else {
       ++busy_r_;
@@ -177,11 +266,11 @@ class Run {
     if (pool == PoolKind::Unreliable) {
       EXPERT_CHECK(busy_ur_ > 0, "unreliable busy-count underflow");
       --busy_ur_;
+      if (!out_.empty()) out_[task].seq = 0;
     } else {
       EXPERT_CHECK(busy_r_ > 0, "reliable busy-count underflow");
       --busy_r_;
     }
-
     const bool tail_sent = flow_.in_tail(send_time);
     double cost = 0.0;
     if (success) {
@@ -209,12 +298,12 @@ class Run {
   const EstimatorConfig& cfg_;
   const TurnaroundModel& model_;
   util::Rng rng_;
+  const std::size_t l_ur_;
+  const std::size_t l_r_;
 
   sim::Engine engine_;
   sim::ReplicationFlow<Run> flow_;
 
-  std::size_t l_ur_ = 0;
-  std::size_t l_r_ = 0;
   std::size_t busy_ur_ = 0;
   std::size_t busy_r_ = 0;
   std::size_t max_busy_r_ = 0;
@@ -222,7 +311,80 @@ class Run {
   std::size_t reliable_sent_ = 0;
   std::size_t duplicates_ = 0;
   double tail_cost_ = 0.0;
+  /// Per task, its unreliable instance still out (seq 0: none); tracked
+  /// only by a run that stops at its tail start.
+  std::vector<PendingFinish> out_;
+  std::uint64_t out_seq_ = 0;
 };
+
+/// Run `snap`'s tail under `strategy`, appending its trace records to
+/// `records` when given.
+RunMetrics run_tail(const EstimatorConfig& cfg, const TurnaroundModel& model,
+                    const ThroughputSnapshot& snap,
+                    const StrategyConfig& strategy,
+                    std::vector<InstanceRecord>* records) {
+  if (!snap.tail_due) {
+    (void)reliable_slots(cfg, strategy);
+    return snap.metrics;
+  }
+  Run run(cfg, model, strategy, snap);
+  run.keep_records(records != nullptr);
+  run.run();
+  if (records != nullptr) {
+    auto tail = run.take_records();
+    records->insert(records->end(), tail.begin(), tail.end());
+  }
+  return run.metrics();
+}
+
+/// Run the shared throughput phase up to the tail start, keeping its trace
+/// records in `records` when given.
+ThroughputSnapshot run_throughput(const EstimatorConfig& cfg,
+                                  const TurnaroundModel& model,
+                                  std::size_t task_count, util::Rng rng,
+                                  std::vector<InstanceRecord>* records) {
+  Run run(cfg, model, shared_throughput_strategy(), rng, task_count);
+  run.keep_records(records != nullptr);
+  run.stop_at_tail();
+  run.start();
+  run.run();
+  if (records != nullptr) *records = run.take_records();
+  return run.snapshot();
+}
+
+/// One repetition under `strategy`: the throughput phase then the tail when
+/// the strategy shares it, else one whole run. Keeps the run's trace
+/// records in `records` when given.
+RunMetrics run_repetition(const EstimatorConfig& cfg,
+                          const TurnaroundModel& model, std::size_t task_count,
+                          const StrategyConfig& strategy, util::Rng rng,
+                          std::vector<InstanceRecord>* records) {
+  if (Estimator::shares_throughput(strategy)) {
+    (void)reliable_slots(cfg, strategy);
+    const ThroughputSnapshot snap =
+        run_throughput(cfg, model, task_count, rng, records);
+    return run_tail(cfg, model, snap, strategy, records);
+  }
+  Run run(cfg, model, strategy, rng, task_count);
+  run.keep_records(records != nullptr);
+  run.start();
+  run.run();
+  if (records != nullptr) *records = run.take_records();
+  return run.metrics();
+}
+
+/// Per-run counts land here (not in estimate()) so every simulation path —
+/// estimate(), the eval service's tail units, direct simulate() calls —
+/// lands in the same core.estimator.* metrics.
+void count_run(const RunMetrics& r) {
+  if (!obs::Registry::global().enabled()) return;
+  EstimatorObs& m = estimator_obs();
+  m.runs.inc();
+  if (!r.finished) m.unfinished.inc();
+  m.ur_sent.inc(static_cast<std::uint64_t>(r.unreliable_instances_sent));
+  m.r_sent.inc(static_cast<std::uint64_t>(r.reliable_instances_sent));
+  m.duplicates.inc(static_cast<std::uint64_t>(r.duplicate_results));
+}
 
 /// Field-wise aggregation helpers for RunMetrics.
 constexpr double RunMetrics::* kMetricFields[] = {
@@ -269,30 +431,51 @@ Estimator::Estimator(EstimatorConfig config, TurnaroundModel model)
   config_.validate();
 }
 
+util::Rng Estimator::repetition_rng(std::uint64_t stream,
+                                   std::size_t repetition) const {
+  return util::Rng(util::derive_seed(util::derive_seed(config_.seed, stream),
+                                     repetition));
+}
+
 std::pair<RunMetrics, trace::ExecutionTrace> Estimator::simulate(
     std::size_t task_count, const strategies::StrategyConfig& strategy,
     std::uint64_t stream, std::size_t repetition) const {
   EXPERT_REQUIRE(task_count > 0, "empty BoT");
   EXPERT_SPAN("estimator.simulate");
   strategy.validate();
-  util::Rng rng(util::derive_seed(util::derive_seed(config_.seed, stream),
-                                  repetition));
-  Run run(config_, model_, task_count, strategy, rng);
-  auto result = run.execute();
+  std::vector<InstanceRecord> records;
+  const RunMetrics m =
+      run_repetition(config_, model_, task_count, strategy,
+                     repetition_rng(stream, repetition), &records);
+  count_run(m);
+  return {m, trace::ExecutionTrace(task_count, std::move(records), m.t_tail,
+                                   m.makespan)};
+}
 
-  // Per-run counts live here (not in estimate()) so every simulation path —
-  // estimate(), the eval service's batched units, direct simulate() calls —
-  // lands in the same core.estimator.* metrics.
-  if (obs::Registry::global().enabled()) {
-    EstimatorObs& m = estimator_obs();
-    const RunMetrics& r = result.first;
-    m.runs.inc();
-    if (!r.finished) m.unfinished.inc();
-    m.ur_sent.inc(static_cast<std::uint64_t>(r.unreliable_instances_sent));
-    m.r_sent.inc(static_cast<std::uint64_t>(r.reliable_instances_sent));
-    m.duplicates.inc(static_cast<std::uint64_t>(r.duplicate_results));
-  }
-  return result;
+bool Estimator::shares_throughput(const strategies::StrategyConfig& strategy) {
+  return strategy.throughput == ThroughputPolicy::UnreliableOnly &&
+         strategy.tail_mode != TailMode::BudgetTriggered;
+}
+
+ThroughputSnapshot Estimator::simulate_throughput(
+    std::size_t task_count, std::uint64_t stream,
+    std::size_t repetition) const {
+  EXPERT_REQUIRE(task_count > 0, "empty BoT");
+  EXPERT_SPAN("estimator.throughput");
+  return run_throughput(config_, model_, task_count,
+                        repetition_rng(stream, repetition), nullptr);
+}
+
+RunMetrics Estimator::simulate_tail(
+    const ThroughputSnapshot& snapshot,
+    const strategies::StrategyConfig& strategy) const {
+  EXPERT_SPAN("estimator.tail");
+  strategy.validate();
+  EXPERT_REQUIRE(shares_throughput(strategy),
+                 "strategy does not share the throughput phase");
+  const RunMetrics m = run_tail(config_, model_, snapshot, strategy, nullptr);
+  count_run(m);
+  return m;
 }
 
 EstimateResult aggregate_runs(std::vector<RunMetrics> runs) {
@@ -328,10 +511,14 @@ EstimateResult Estimator::estimate(std::size_t task_count,
   const obs::Span span("estimator.estimate",
                        observed ? &estimator_obs().estimate_wall : nullptr);
 
+  EXPERT_REQUIRE(task_count > 0, "empty BoT");
+  strategy.validate();
   std::vector<RunMetrics> runs;
   runs.reserve(config_.repetitions);
   for (std::size_t rep = 0; rep < config_.repetitions; ++rep) {
-    runs.push_back(simulate(task_count, strategy, stream, rep).first);
+    runs.push_back(run_repetition(config_, model_, task_count, strategy,
+                                  repetition_rng(stream, rep), nullptr));
+    count_run(runs.back());
   }
 
   if (observed) estimator_obs().estimates.inc();

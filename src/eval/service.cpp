@@ -139,9 +139,12 @@ std::vector<EvalResult> EvalService::evaluate(
   }
 
   if (!misses.empty()) {
-    // Flatten to (candidate x repetition) units so a small batch with many
-    // repetitions still spreads across every worker. Each unit writes its
-    // own preallocated slot; no unit observes another's output.
+    // Every candidate shares the batch's stream (see key.hpp), so each
+    // repetition's throughput phase is the same under every strategy: run
+    // it once per repetition, then every (candidate x repetition) tail from
+    // its snapshot. Units are flattened so a small batch with many
+    // repetitions still spreads across every worker; each writes its own
+    // preallocated slot and no unit observes another's output.
     std::vector<std::vector<core::RunMetrics>> runs(misses.size());
     std::vector<strategies::StrategyConfig> configs;
     configs.reserve(misses.size());
@@ -150,21 +153,27 @@ std::vector<EvalResult> EvalService::evaluate(
       configs.push_back(
           strategies::make_ntdmr_strategy(candidates[misses[m]]));
     }
-
-    const std::size_t unit_count = misses.size() * repetitions;
-    const auto unit_body = [&](std::size_t u) {
-      const std::size_t m = u / repetitions;
-      const std::size_t rep = u % repetitions;
-      runs[m][rep] = estimator
-                         .simulate(task_count, configs[m],
-                                   keys[misses[m]].stream(), rep)
-                         .first;
+    const std::uint64_t stream = keys[misses.front()].stream();
+    const auto for_units = [&](std::size_t n,
+                               const std::function<void(std::size_t)>& body) {
+      if (options.threads == 1 || n == 1) {
+        for (std::size_t u = 0; u < n; ++u) body(u);
+      } else {
+        run_units(n, body);
+      }
     };
-    if (options.threads == 1 || unit_count == 1) {
-      for (std::size_t u = 0; u < unit_count; ++u) unit_body(u);
-    } else {
-      run_units(unit_count, unit_body);
-    }
+
+    std::vector<core::ThroughputSnapshot> snapshots(repetitions);
+    for_units(repetitions, [&](std::size_t rep) {
+      snapshots[rep] = estimator.simulate_throughput(task_count, stream, rep);
+    });
+    // Repetition-major, so the workers share one snapshot at a time.
+    const std::size_t unit_count = misses.size() * repetitions;
+    for_units(unit_count, [&](std::size_t u) {
+      const std::size_t rep = u / misses.size();
+      const std::size_t m = u % misses.size();
+      runs[m][rep] = estimator.simulate_tail(snapshots[rep], configs[m]);
+    });
 
     for (std::size_t m = 0; m < misses.size(); ++m) {
       const std::size_t i = misses[m];

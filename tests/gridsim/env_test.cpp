@@ -385,7 +385,10 @@ INSTANTIATE_TEST_SUITE_P(EnvGolden, EnvGoldenRows,
 // arms a task's T check only when the instance just sent can still be out
 // when it is due, so few checks are scheduled only to be cancelled. With
 // the check armed after every send these rows scheduled 336 / 344 events
-// and cancelled 157 / 120 of them.
+// and cancelled 157 / 120 of them. simulate() runs the throughput phase and
+// the tail on two engines: the tail's re-files the 24 finishes pending at
+// the tail start plus one resume event (180 / 204 scheduled and 156 / 181
+// fired on one engine).
 struct EngineCounts {
   std::uint64_t scheduled = 0;
   std::uint64_t fired = 0;
@@ -416,8 +419,8 @@ TEST(EnvGoldenEngineCounts, EstimatorRowsScheduleFewDeadChecks) {
     EngineCounts want;
   } rows[] = {
       {"estimator_AUR", estimator_static<StaticStrategyKind::AUR>,
-       {180, 156, 24}},
-      {"estimator_NTDMr_N2", estimator_ntdmr, {204, 181, 12}},
+       {205, 157, 24}},
+      {"estimator_NTDMr_N2", estimator_ntdmr, {229, 182, 12}},
   };
   for (const auto& row : rows) {
     SCOPED_TRACE(row.name);

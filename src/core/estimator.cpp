@@ -337,13 +337,14 @@ RunMetrics run_tail(const EstimatorConfig& cfg, const TurnaroundModel& model,
   return run.metrics();
 }
 
-/// Run the shared throughput phase up to the tail start, keeping its trace
-/// records in `records` when given.
+/// Run the throughput phase of a strategy that shares it up to the tail
+/// start, keeping its trace records in `records` when given.
 ThroughputSnapshot run_throughput(const EstimatorConfig& cfg,
                                   const TurnaroundModel& model,
+                                  const StrategyConfig& strategy,
                                   std::size_t task_count, util::Rng rng,
                                   std::vector<InstanceRecord>* records) {
-  Run run(cfg, model, shared_throughput_strategy(), rng, task_count);
+  Run run(cfg, model, strategy, rng, task_count);
   run.keep_records(records != nullptr);
   run.stop_at_tail();
   run.start();
@@ -360,9 +361,8 @@ RunMetrics run_repetition(const EstimatorConfig& cfg,
                           const StrategyConfig& strategy, util::Rng rng,
                           std::vector<InstanceRecord>* records) {
   if (Estimator::shares_throughput(strategy)) {
-    (void)reliable_slots(cfg, strategy);
     const ThroughputSnapshot snap =
-        run_throughput(cfg, model, task_count, rng, records);
+        run_throughput(cfg, model, strategy, task_count, rng, records);
     return run_tail(cfg, model, snap, strategy, records);
   }
   Run run(cfg, model, strategy, rng, task_count);
@@ -462,8 +462,9 @@ ThroughputSnapshot Estimator::simulate_throughput(
     std::size_t repetition) const {
   EXPERT_REQUIRE(task_count > 0, "empty BoT");
   EXPERT_SPAN("estimator.throughput");
-  return run_throughput(config_, model_, task_count,
-                        repetition_rng(stream, repetition), nullptr);
+  return run_throughput(config_, model_, shared_throughput_strategy(),
+                        task_count, repetition_rng(stream, repetition),
+                        nullptr);
 }
 
 RunMetrics Estimator::simulate_tail(

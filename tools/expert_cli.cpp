@@ -153,26 +153,28 @@ trace::ExecutionTrace load_trace(const std::string& path) {
   return trace::read_csv(in);
 }
 
+/// --mode, default online; any other value is a usage error.
+core::ReliabilityMode reliability_mode(const util::Args& args) {
+  const std::string mode = args.option_or("mode", "online");
+  EXPERT_REQUIRE(mode == "online" || mode == "offline",
+                 "--mode must be online or offline");
+  return mode == "online" ? core::ReliabilityMode::Online
+                          : core::ReliabilityMode::Offline;
+}
+
 core::ExpertOptions expert_options(const util::Args& args) {
   core::ExpertOptions options;
   options.repetitions =
       static_cast<std::size_t>(args.number_or("reps", 10.0));
-  const std::string mode = args.option_or("mode", "online");
-  EXPERT_REQUIRE(mode == "online" || mode == "offline",
-                 "--mode must be online or offline");
-  options.characterization.mode = mode == "online"
-                                      ? core::ReliabilityMode::Online
-                                      : core::ReliabilityMode::Offline;
+  options.characterization.mode = reliability_mode(args);
   return options;
 }
 
 int cmd_characterize(const util::Args& args) {
   EXPERT_SPAN("cli.characterize");
-  const auto history = load_trace(args.required("trace"));
   core::CharacterizationOptions opts;
-  const std::string mode = args.option_or("mode", "online");
-  opts.mode = mode == "offline" ? core::ReliabilityMode::Offline
-                                : core::ReliabilityMode::Online;
+  opts.mode = reliability_mode(args);
+  const auto history = load_trace(args.required("trace"));
   opts.instance_deadline = args.number_or("deadline", 0.0);
   const auto checked = core::characterize_checked(history, opts);
   const auto& quality = checked.quality;
@@ -669,6 +671,11 @@ int run_campaign(const util::Args& args, TableVSetup setup,
   copts.expert.repetitions =
       static_cast<std::size_t>(args.number_or("reps", 5.0));
   copts.expert.environment_digest = setup.env_digest;
+  // A finite N needs the guaranteed (N+1)-th reliable instance (paper
+  // §III), which the executor refuses without reliable machines: a
+  // pure-grid campaign samples N = inf only.
+  if (!executor.config().environment.has_cloud())
+    copts.expert.sampling.n_values = {std::nullopt};
   const auto utility = core::parse_utility(args.option_or("utility", "product"));
 
   const std::string backend_kind = args.option_or("backend", "gridsim");

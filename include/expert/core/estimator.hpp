@@ -112,7 +112,7 @@ struct ThroughputSnapshot {
   bool tail_due = false;
   RunMetrics metrics;
   sim::FlowSnapshot flow;
-  std::vector<PendingFinish> pending;  ///< in event order
+  std::vector<PendingFinish> pending;  ///< in firing order
   util::Rng rng;
   std::size_t unreliable_sent = 0;
 };

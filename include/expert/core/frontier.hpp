@@ -79,9 +79,9 @@ struct FrontierResult {
 
 /// ExPERT process step 3: evaluate every sampled strategy with the
 /// Estimator (in parallel, through expert::eval) and build the Pareto
-/// frontier. Deterministic: each strategy's RNG stream is derived from the
-/// evaluation content (strategy parameters, estimator config, model digest
-/// — see eval::EvalKey), so results do not depend on thread count, on the
+/// frontier. Deterministic: the sweep's RNG stream is derived from the
+/// evaluation content (estimator config, model digest, task count — see
+/// eval::EvalKey), so results do not depend on thread count, on the
 /// candidate's position in the sample list, or on cache state.
 FrontierResult generate_frontier(const Estimator& estimator,
                                  std::size_t task_count,

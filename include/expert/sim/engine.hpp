@@ -79,6 +79,30 @@ class Engine {
     return schedule_at(now_ + delay, fn);
   }
 
+  /// Replay events carried over from an earlier run: `fn(i)` runs at
+  /// `times[i]`, with `times` sorted (ties in the order the events were
+  /// first filed) and none before now. They fire exactly as if scheduled
+  /// now in that order — after every event already scheduled and before
+  /// every event scheduled later at the same time — but they bypass the
+  /// heap: the engine merges them with it, so each costs O(1). They cannot
+  /// be cancelled, and one replay must finish before the next.
+  template <typename Fn>
+  void replay(std::vector<SimTime> times, Fn fn) {
+    static_assert(std::is_trivially_copyable_v<Fn>,
+                  "replay callbacks are copied bytewise");
+    static_assert(sizeof(Fn) <= kMaxCallbackBytes,
+                  "replay callback exceeds Engine::kMaxCallbackBytes");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "replay callback is over-aligned");
+    static_assert(std::is_invocable_r_v<void, Fn&, std::size_t>,
+                  "replay callback must be callable with an index");
+    start_replay(std::move(times),
+                 [](void* storage, std::size_t i) {
+                   (*std::launder(static_cast<Fn*>(storage)))(i);
+                 });
+    ::new (static_cast<void*>(replay_fn_)) Fn(fn);
+  }
+
   /// Run until the event queue drains. Returns the time of the last event.
   SimTime run();
   /// Run events with time <= horizon; clock ends at min(horizon, last event).
@@ -92,12 +116,17 @@ class Engine {
   void stop() noexcept { stop_requested_ = true; }
 
   /// True when no event, live or cancelled-but-unpopped, is queued.
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t scheduled_events() const noexcept { return heap_.size(); }
+  bool empty() const noexcept {
+    return heap_.empty() && replay_next_ == replay_times_.size();
+  }
+  std::size_t scheduled_events() const noexcept {
+    return heap_.size() + (replay_times_.size() - replay_next_);
+  }
   std::uint64_t processed_events() const noexcept { return processed_; }
 
  private:
   using Thunk = void (*)(void*);
+  using ReplayThunk = void (*)(void*, std::size_t);
 
   /// Heap entry; ordered by (time, seq), so the order is total.
   struct Entry {
@@ -127,6 +156,11 @@ class Engine {
   void discard_cancelled(SimTime horizon);
   /// Pop the (live) head, recycle its slot and run its callback.
   void fire_head();
+  void start_replay(std::vector<SimTime> times, ReplayThunk invoke);
+  /// Whether the next replayed event fires before the heap head.
+  bool replay_due() const noexcept;
+  /// Run the next replayed event.
+  void fire_replay();
   /// Publish the per-run deltas to the global obs registry (no-op when it
   /// is disabled) and zero them. Called when run_until/run_some return.
   void flush_metrics();
@@ -139,11 +173,20 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
 
+  // The replay in progress: times, the next index, the first seq of the
+  // events scheduled after it began, and its callback.
+  std::vector<SimTime> replay_times_;
+  std::size_t replay_next_ = 0;
+  std::uint64_t replay_seq_end_ = 0;
+  ReplayThunk replay_invoke_ = nullptr;
+  alignas(std::max_align_t) unsigned char replay_fn_[kMaxCallbackBytes];
+
   // Deltas since the last flush; plain members so the per-event cost of
   // instrumentation is a few register increments.
   std::uint64_t obs_scheduled_ = 0;
   std::uint64_t obs_fired_ = 0;
   std::uint64_t obs_cancelled_ = 0;
+  std::uint64_t obs_replayed_ = 0;
   std::size_t obs_max_queue_ = 0;
 };
 

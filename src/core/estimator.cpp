@@ -97,8 +97,9 @@ class Run {
 
   /// `snap`'s run resumed at its tail start under `strategy`. The rest of
   /// the call chain the stop interrupted fires first, at t_tail, and the
-  /// pending finishes follow in their original order, so every event keeps
-  /// its (time, insertion) order relative to the others.
+  /// pending finishes are replayed behind it in their firing order, so
+  /// every event keeps its (time, insertion) order relative to the others.
+  /// `snap` must outlive the run.
   Run(const EstimatorConfig& cfg, const TurnaroundModel& model,
       const StrategyConfig& strategy, const ThroughputSnapshot& snap)
       : cfg_(cfg),
@@ -110,13 +111,15 @@ class Run {
         busy_ur_(snap.pending.size()),
         unreliable_sent_(snap.unreliable_sent) {
     engine_.schedule_at(snap.flow.t_tail, [this] { flow_.resume_tail(); });
-    for (const PendingFinish& p : snap.pending) {
-      engine_.schedule_at(p.time, [this, task = p.task, sent = p.send_time,
-                                   turnaround = p.turnaround,
-                                   success = p.success] {
-        on_finish(task, PoolKind::Unreliable, sent, turnaround, success);
-      });
-    }
+    std::vector<double> times;
+    times.reserve(snap.pending.size());
+    for (const PendingFinish& p : snap.pending) times.push_back(p.time);
+    engine_.replay(std::move(times),
+                   [this, pending = snap.pending.data()](std::size_t i) {
+                     const PendingFinish& p = pending[i];
+                     on_finish(p.task, PoolKind::Unreliable, p.send_time,
+                               p.turnaround, p.success);
+                   });
   }
 
   void keep_records(bool keep) { flow_.keep_records(keep); }
@@ -155,9 +158,10 @@ class Run {
     for (const PendingFinish& p : out_) {
       if (p.seq != 0) snap.pending.push_back(p);
     }
+    // Firing order: (time, filing order), as the engine would pop them.
     std::sort(snap.pending.begin(), snap.pending.end(),
               [](const PendingFinish& a, const PendingFinish& b) {
-                return a.seq < b.seq;
+                return a.time != b.time ? a.time < b.time : a.seq < b.seq;
               });
     EXPERT_CHECK(snap.pending.size() == busy_ur_,
                  "unreliable busy count disagrees with pending finishes");

@@ -18,6 +18,9 @@ struct EngineMetrics {
   obs::Counter scheduled = reg.counter("sim.engine.events_scheduled");
   obs::Counter fired = reg.counter("sim.engine.events_fired");
   obs::Counter cancelled = reg.counter("sim.engine.events_cancelled");
+  /// Carried-over events run by replay(): never scheduled here, so counted
+  /// in neither events_scheduled nor events_fired.
+  obs::Counter replayed = reg.counter("sim.engine.events_replayed");
   obs::Histogram max_queue = reg.histogram(
       "sim.engine.max_queue_depth",
       obs::HistogramSpec::exponential(1.0, 1048576.0, 21));
@@ -90,6 +93,36 @@ void Engine::fire_head() {
   invoke(fn);
 }
 
+void Engine::start_replay(std::vector<SimTime> times, ReplayThunk invoke) {
+  EXPERT_REQUIRE(replay_next_ == replay_times_.size(),
+                 "a replay is already in progress");
+  EXPERT_REQUIRE(times.empty() || times.front() >= now_,
+                 "cannot replay an event in the past");
+  EXPERT_REQUIRE(std::is_sorted(times.begin(), times.end()),
+                 "replayed events must be in time order");
+  replay_times_ = std::move(times);
+  replay_next_ = 0;
+  replay_seq_end_ = next_seq_;
+  replay_invoke_ = invoke;
+}
+
+bool Engine::replay_due() const noexcept {
+  if (replay_next_ == replay_times_.size()) return false;
+  if (heap_.empty()) return true;
+  // Replayed events sort as if scheduled when the replay began: after the
+  // heap's older events, before its newer ones.
+  const SimTime at = replay_times_[replay_next_];
+  const Entry& head = heap_.front();
+  return at < head.time || (at == head.time && head.seq >= replay_seq_end_);
+}
+
+void Engine::fire_replay() {
+  now_ = replay_times_[replay_next_];
+  ++processed_;
+  ++obs_replayed_;
+  replay_invoke_(replay_fn_, replay_next_++);
+}
+
 SimTime Engine::run() {
   return run_until(std::numeric_limits<SimTime>::infinity());
 }
@@ -100,6 +133,14 @@ SimTime Engine::run_until(SimTime horizon) {
     // Cancelled heads go first, so the horizon check sees the next event
     // that would actually fire.
     discard_cancelled(horizon);
+    if (replay_due()) {
+      if (replay_times_[replay_next_] > horizon) {
+        now_ = std::max(now_, horizon);
+        break;
+      }
+      fire_replay();
+      continue;
+    }
     if (heap_.empty()) break;
     if (heap_.front().time > horizon) {
       now_ = std::max(now_, horizon);
@@ -117,8 +158,13 @@ std::size_t Engine::run_some(std::size_t count) {
   std::size_t done = 0;
   while (done < count) {
     discard_cancelled(std::numeric_limits<SimTime>::infinity());
-    if (heap_.empty()) break;
-    fire_head();
+    if (replay_due()) {
+      fire_replay();
+    } else if (heap_.empty()) {
+      break;
+    } else {
+      fire_head();
+    }
     ++done;
   }
   flush_metrics();
@@ -132,9 +178,10 @@ void Engine::flush_metrics() {
     m.scheduled.inc(obs_scheduled_);
     m.fired.inc(obs_fired_);
     m.cancelled.inc(obs_cancelled_);
+    m.replayed.inc(obs_replayed_);
     m.max_queue.observe(static_cast<double>(obs_max_queue_));
   }
-  obs_scheduled_ = obs_fired_ = obs_cancelled_ = 0;
+  obs_scheduled_ = obs_fired_ = obs_cancelled_ = obs_replayed_ = 0;
   obs_max_queue_ = 0;
 }
 

@@ -241,5 +241,71 @@ TEST(Engine, CancelledEventsAreSkippedNotCounted) {
   EXPECT_EQ(engine.processed_events(), 1u);
 }
 
+// ---- replay(): events carried over from an earlier run ----
+
+TEST(EngineReplay, MergesWithTheHeapInTimeOrder) {
+  Engine engine;
+  std::vector<double> order;
+  engine.schedule_at(1.5, [&] { order.push_back(engine.now()); });
+  engine.schedule_at(4.0, [&] { order.push_back(engine.now()); });
+  engine.replay({1.0, 2.0, 3.0},
+                [&](std::size_t i) { order.push_back(10.0 + static_cast<double>(i)); });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<double>{10.0, 1.5, 11.0, 12.0, 4.0}));
+  EXPECT_EQ(engine.processed_events(), 5u);
+}
+
+TEST(EngineReplay, TiesSortAsIfScheduledWhenTheReplayBegan) {
+  // At equal times: older heap events, then the replay in its own order,
+  // then events scheduled after the replay began — also by the callbacks.
+  Engine engine;
+  std::vector<int> order;
+  engine.schedule_at(5.0, [&] { order.push_back(1); });
+  engine.replay({5.0, 5.0}, [&](std::size_t i) {
+    order.push_back(2 + static_cast<int>(i));
+    if (i == 0) engine.schedule_at(5.0, [&] { order.push_back(5); });
+  });
+  engine.schedule_at(5.0, [&] { order.push_back(4); });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(EngineReplay, HorizonStopAndRunSomeSeeReplayedEvents) {
+  Engine engine;
+  int fired = 0;
+  engine.replay({1.0, 5.0}, [&](std::size_t) { ++fired; });
+  EXPECT_FALSE(engine.empty());
+  EXPECT_EQ(engine.scheduled_events(), 2u);
+  EXPECT_DOUBLE_EQ(engine.run_until(3.0), 3.0);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(engine.scheduled_events(), 1u);
+  EXPECT_EQ(engine.run_some(5), 1u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_TRUE(engine.empty());
+
+  Engine stopped;
+  stopped.replay({1.0, 2.0}, [&](std::size_t) { stopped.stop(); });
+  stopped.run();
+  EXPECT_EQ(stopped.processed_events(), 1u);
+  EXPECT_FALSE(stopped.empty());
+}
+
+TEST(EngineReplay, RejectsPastUnsortedAndOverlappingReplays) {
+  Engine engine;
+  engine.schedule_at(2.0, [] {});
+  engine.run();
+  EXPECT_THROW(engine.replay({1.0}, [](std::size_t) {}),
+               util::ContractViolation);
+  EXPECT_THROW(engine.replay({4.0, 3.0}, [](std::size_t) {}),
+               util::ContractViolation);
+  engine.replay({3.0}, [](std::size_t) {});
+  EXPECT_THROW(engine.replay({4.0}, [](std::size_t) {}),
+               util::ContractViolation);
+  engine.run();
+  engine.replay({4.0}, [](std::size_t) {});  // the first one is done
+  engine.run();
+  EXPECT_EQ(engine.processed_events(), 3u);
+}
+
 }  // namespace
 }  // namespace expert::sim

@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <time.h>
+
 #include <array>
 #include <cstdint>
 #include <string_view>
@@ -178,6 +180,14 @@ void export_cache_counters(benchmark::State& state,
       hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
 }
 
+/// CPU time of the whole process, every thread included, in seconds.
+double process_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 void BM_FullFrontierSweepPaperResolution(benchmark::State& state) {
   // The paper's headline: "several minutes" on a 2008 dual-core for dozens
   // of strategies x >10 repetitions. One iteration = the whole ExPERT
@@ -185,12 +195,34 @@ void BM_FullFrontierSweepPaperResolution(benchmark::State& state) {
   // shared evaluation cache is cleared per iteration.
   const auto estimator = make_estimator(10);
   const auto before = eval::EvalService::global().cache().stats();
+  double process_cpu_s = 0.0;
   for (auto _ : state) {
     bench::reset_eval_cache();
+    const double start = process_cpu_seconds();
     benchmark::DoNotOptimize(core::generate_frontier(
         estimator, bench::kBotTasks, bench::paper_sampling()));
+    process_cpu_s += process_cpu_seconds() - start;
   }
   export_cache_counters(state, before);
+  // cpu_time counts the calling thread only, and the sweep runs on the
+  // eval pool: this counter is the CPU of every thread, per sweep.
+  state.counters["process_cpu_ns"] = benchmark::Counter(
+      process_cpu_s * 1e9, benchmark::Counter::kAvgIterations);
+
+  // Every iteration runs the same sweep, so one untimed cold replay with
+  // the registry on gives the engine events per sweep.
+  bench::reset_eval_cache();
+  obs::Registry& reg = obs::Registry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const auto events_before = reg.snapshot();
+  benchmark::DoNotOptimize(core::generate_frontier(
+      estimator, bench::kBotTasks, bench::paper_sampling()));
+  const auto events_after = reg.snapshot();
+  reg.set_enabled(was_enabled);
+  state.counters["events_per_sweep"] = static_cast<double>(
+      events_after.counter_total("sim.engine.events_scheduled") -
+      events_before.counter_total("sim.engine.events_scheduled"));
 }
 BENCHMARK(BM_FullFrontierSweepPaperResolution)
     ->Unit(benchmark::kMillisecond)

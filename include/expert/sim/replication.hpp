@@ -54,7 +54,6 @@ struct FlowSnapshot {
   std::vector<FlowTask> tasks;
   std::vector<FlowQueueEntry> ur_queue;
   PhaseRules throughput_rules;
-  std::size_t tail_trigger = 0;
   std::size_t remaining = 0;
   double total_cost = 0.0;
   double t_tail = 0.0;
@@ -121,7 +120,6 @@ class ReplicationFlow {
         tasks_(snap.tasks),
         ur_queue_(snap.ur_queue.begin(), snap.ur_queue.end()),
         throughput_rules_(snap.throughput_rules),
-        tail_trigger_(snap.tail_trigger),
         remaining_(snap.remaining),
         total_cost_(snap.total_cost),
         stopped_at_tail_(true),
@@ -168,7 +166,6 @@ class ReplicationFlow {
       if (live(e, Queued::Unreliable)) snap.ur_queue.push_back(e);
     }
     snap.throughput_rules = throughput_rules_;
-    snap.tail_trigger = tail_trigger_;
     snap.remaining = remaining_;
     snap.total_cost = total_cost_;
     snap.t_tail = t_tail_;
@@ -182,7 +179,6 @@ class ReplicationFlow {
   void resume_tail() {
     EXPERT_CHECK(stopped_at_tail_, "resume of a flow not at its tail");
     stopped_at_tail_ = false;
-    stop_at_tail_ = false;
     begin_tail();
     if (stopped_at_start_) {
       for (workload::TaskId t = 0; t < tasks_.size(); ++t) consider_enqueue(t);

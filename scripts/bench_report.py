@@ -25,8 +25,11 @@ SCHEMA = "expert.bench.v1"
 
 _TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-# Engine event-mix counters the estimator and engine benchmarks report.
-_EVENT_COUNTERS = ("events_per_run", "cancelled_share")
+# Engine event-mix counters the estimator and engine benchmarks report,
+# and the parallel sweep's whole-process CPU and engine events per sweep
+# (its cpu_ns counts the calling thread only).
+_EVENT_COUNTERS = ("events_per_run", "cancelled_share", "events_per_sweep",
+                   "process_cpu_ns")
 
 
 def run_binary(binary, repetitions, min_time, bench_filter):

@@ -328,6 +328,7 @@ RunMetrics run_tail(const EstimatorConfig& cfg, const TurnaroundModel& model,
                     const StrategyConfig& strategy,
                     std::vector<InstanceRecord>* records) {
   if (!snap.tail_due) {
+    // Reject a strategy this configuration cannot run, as a whole run would.
     (void)reliable_slots(cfg, strategy);
     return snap.metrics;
   }

@@ -248,8 +248,9 @@ TEST(EngineReplay, MergesWithTheHeapInTimeOrder) {
   std::vector<double> order;
   engine.schedule_at(1.5, [&] { order.push_back(engine.now()); });
   engine.schedule_at(4.0, [&] { order.push_back(engine.now()); });
-  engine.replay({1.0, 2.0, 3.0},
-                [&](std::size_t i) { order.push_back(10.0 + static_cast<double>(i)); });
+  engine.replay({1.0, 2.0, 3.0}, [&](std::size_t i) {
+    order.push_back(10.0 + static_cast<double>(i));
+  });
   engine.run();
   EXPECT_EQ(order, (std::vector<double>{10.0, 1.5, 11.0, 12.0, 4.0}));
   EXPECT_EQ(engine.processed_events(), 5u);
